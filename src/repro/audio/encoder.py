@@ -18,8 +18,7 @@ DESIGN.md): the segment-granularity batched path of
 :mod:`repro.audio.subbandpipe` (default) — one filterbank matmul, one
 batched FFT analysis, a lockstep bit allocator, one ``write_many`` flush —
 or the scalar frame-at-a-time reference this module grew up with, kept as
-the pinned oracle.  ``batched=`` picks explicitly; ``None`` follows
-:func:`repro.audio.subbandpipe.batched_default`.
+the pinned oracle.  ``batched=`` picks the pipeline per instance.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .bitalloc import Allocation, allocate_bits, allocate_bits_batch, flat_alloc
 from .filterbank import PolyphaseFilterbank
 from .frame import SAMPLES_PER_BAND, frame_side_bits, pack_frame, unpack_frame
 from .psychoacoustic import PsychoacousticModel
-from .subbandpipe import pack_frames_batch, resolve_batched, unpack_frames_batch
+from .subbandpipe import pack_frames_batch, unpack_frames_batch
 
 MAGIC = 0x4D41  # "MA"
 
@@ -192,10 +191,10 @@ class AudioEncoder:
     def __init__(
         self,
         config: AudioEncoderConfig | None = None,
-        batched: bool | None = None,
+        batched: bool = True,
     ) -> None:
         self.config = config or AudioEncoderConfig()
-        self.batched = resolve_batched(batched)
+        self.batched = batched
         self._bank = PolyphaseFilterbank(
             self.config.num_bands, batched=self.batched
         )
@@ -447,8 +446,8 @@ class AudioDecoder:
     bit-identical PCM.
     """
 
-    def __init__(self, batched: bool | None = None) -> None:
-        self.batched = resolve_batched(batched)
+    def __init__(self, batched: bool = True) -> None:
+        self.batched = batched
 
     def decode(self, data: bytes, conceal: bool = False) -> DecodedAudio:
         """Decode a stream; ``conceal`` survives truncated input.

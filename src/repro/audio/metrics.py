@@ -35,7 +35,7 @@ def segmental_snr_db(
     """Mean per-segment SNR, clamped per segment (speech-codec convention).
 
     Segmental SNR weighs quiet stretches equally with loud ones, which
-    matches perception better than global SNR for speech.
+    matches perception better than whole-signal SNR for speech.
     """
     ref = np.asarray(reference, dtype=np.float64)
     dec = np.asarray(decoded, dtype=np.float64)

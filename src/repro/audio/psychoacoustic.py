@@ -13,7 +13,7 @@ This is a compact MPEG-1 "Model 1"-style analysis:
    noise masker per critical band;
 3. each masker spreads across the Bark axis with the classic two-slope
    spreading function and a tonality-dependent masking offset;
-4. the global threshold power-sums spread masking and the absolute
+4. the overall masking threshold power-sums spread masking and the absolute
    threshold in quiet;
 5. per-subband signal-to-mask ratios (SMR) feed the bit allocator.
 """
@@ -30,6 +30,13 @@ FULL_SCALE_SPL = 96.0
 #: Masking offsets (dB below masker level) for tonal and noise maskers.
 TONAL_OFFSET = 14.5
 NOISE_OFFSET = 6.0
+
+#: Ceiling on the threshold in quiet (dB SPL).  Terhardt's ``f**4`` term
+#: passes 3,080 dB near 42 kHz, where ``10 ** (tq / 10)`` overflows
+#: float64.  The cap is far above hearing and above every value the
+#: formula gives up to a 48 kHz sample rate's Nyquist (~332 dB), so it
+#: changes no threshold at the rates the scenarios use.
+QUIET_CEILING_DB = 1000.0
 
 
 def bark(frequency_hz: np.ndarray | float) -> np.ndarray | float:
@@ -48,12 +55,14 @@ def bark(frequency_hz: np.ndarray | float) -> np.ndarray | float:
 
 
 def threshold_in_quiet(frequency_hz: np.ndarray | float) -> np.ndarray | float:
-    """Absolute hearing threshold (dB SPL), Terhardt's approximation."""
+    """Absolute hearing threshold (dB SPL), Terhardt's approximation,
+    capped at :data:`QUIET_CEILING_DB`."""
     f = np.maximum(np.asarray(frequency_hz, dtype=np.float64), 20.0) / 1000.0
-    tq = (
+    tq = np.minimum(
         3.64 * f ** -0.8
         - 6.5 * np.exp(-0.6 * (f - 3.3) ** 2)
-        + 1e-3 * f ** 4
+        + 1e-3 * f ** 4,
+        QUIET_CEILING_DB,
     )
     return float(tq) if np.isscalar(frequency_hz) else tq
 

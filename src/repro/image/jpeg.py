@@ -20,7 +20,6 @@ from ..video.bitstream import BitReader, BitWriter
 from ..video.blockpipe import (
     plane_to_vectors,
     read_plane_vectors,
-    resolve_batched,
     vectors_to_plane,
     write_plane_vectors,
 )
@@ -56,11 +55,10 @@ class JpegLikeCodec:
 
     ``batched`` picks the block pipeline (frame-granularity batched chain
     vs the scalar reference loop); both produce bit-identical streams.
-    ``None`` defers to :func:`repro.video.blockpipe.batched_default`.
     """
 
-    def __init__(self, batched: bool | None = None) -> None:
-        self.batched = resolve_batched(batched)
+    def __init__(self, batched: bool = True) -> None:
+        self.batched = batched
 
     def encode(self, image: np.ndarray, quality: int = 75) -> EncodedImage:
         image = np.asarray(image, dtype=np.float64)

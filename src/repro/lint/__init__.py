@@ -1,22 +1,14 @@
 """repro.lint: AST-based invariant checker for this repository.
 
-Seven PRs of runtime conventions — ``*_reference`` oracle pairing,
-explicit-RNG plumbing, bit-exact scheduler invariance, vectorized hot
-paths — enforced at lint time instead of by reviewer memory.  Stdlib
-only (``ast``); never imports the code under analysis.
+Four runtime conventions — explicit-RNG plumbing, bit-exact virtual-time
+serialization, no silently-swallowed errors, and encoder/decoder field
+width parity — enforced at lint time instead of by reviewer memory.
+Stdlib only (``ast``); never imports the code under analysis.
 
 Run it: ``python -m repro.lint --check``.  Catalogue and workflow:
 ``docs/static_analysis.md``.
 """
 
-from .baseline import (
-    TODO_JUSTIFICATION,
-    BaselineEntry,
-    BaselineReport,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from .core import (
     Checker,
     ModuleContext,
@@ -31,19 +23,13 @@ from .rules import ALL_CHECKERS, default_checkers
 
 __all__ = [
     "ALL_CHECKERS",
-    "BaselineEntry",
-    "BaselineReport",
     "Checker",
     "Finding",
     "ModuleContext",
     "Project",
     "ScopedVisitor",
-    "TODO_JUSTIFICATION",
-    "apply_baseline",
     "build_project",
     "default_checkers",
-    "load_baseline",
     "run_checkers",
     "run_lint",
-    "write_baseline",
 ]

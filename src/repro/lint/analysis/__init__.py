@@ -15,8 +15,8 @@ analyzed code:
   methods via a lightweight class-hierarchy pass, annotation-typed
   parameters, tracked constructor locals);
 * :mod:`~repro.lint.analysis.summaries` — per-function *effect
-  summaries* (wall clock, global RNG, module-state mutation, bare-set
-  iteration, swallowed broad excepts, statement loops) propagated
+  summaries* (wall clock, global RNG, bare-set iteration, swallowed
+  broad excepts) propagated
   bottom-up to a fixpoint over recursion cycles, each transitive effect
   carrying its shortest witness call chain;
 * :mod:`~repro.lint.analysis.bitwidth` — the width-parity model: every

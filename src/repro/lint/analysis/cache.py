@@ -10,7 +10,7 @@ derived passes — all deterministic — produce identical findings).
 
 The cache file is a single JSON document::
 
-    {"version": 1, "modules": {"src/repro/x.py": {"sha256": ..., "facts": ...}}}
+    {"version": 2, "modules": {"src/repro/x.py": {"sha256": ..., "facts": ...}}}
 
 A missing, corrupt, or version-mismatched cache is treated as cold; a
 failed write is ignored (the cache is an optimization, never a
@@ -26,7 +26,7 @@ import tempfile
 
 from .facts import ModuleFacts
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_CACHE_DIRNAME = ".lint_cache"
 _CACHE_FILENAME = "analysis.json"
 

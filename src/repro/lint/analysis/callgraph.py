@@ -37,8 +37,6 @@ class CallGraph:
     functions: dict[str, FunctionFacts] = field(default_factory=dict)
     #: Function id -> sorted tuple of (callee id, call lineno).
     edges: dict[str, tuple[tuple[str, int], ...]] = field(default_factory=dict)
-    #: Absolute class dotted name -> {"bases": [...], "methods": [...]}.
-    classes: dict[str, dict] = field(default_factory=dict)
 
     def callees(self, func_id: str) -> tuple[tuple[str, int], ...]:
         return self.edges.get(func_id, ())
@@ -54,21 +52,6 @@ class CallGraph:
     def relpath_of(self, func_id: str) -> str:
         mod = self.module_of(func_id)
         return mod.relpath if mod else ""
-
-    def inherited_method(
-        self, class_id: str, method: str, _seen: frozenset = frozenset()
-    ) -> str | None:
-        """Method id found on the class or (depth-first) its bases."""
-        if class_id in _seen or class_id not in self.classes:
-            return None
-        rec = self.classes[class_id]
-        if method in rec["methods"]:
-            return f"{class_id}.{method}"
-        for base in rec.get("resolved_bases", ()):
-            found = self.inherited_method(base, method, _seen | {class_id})
-            if found:
-                return found
-        return None
 
 
 def _resolve_import(target: str, modules: dict[str, ModuleFacts]) -> str | None:
@@ -237,23 +220,6 @@ def build_call_graph(modules: dict[str, ModuleFacts]) -> CallGraph:
     """Resolve every recorded call site across the project."""
     resolver = _Resolver(modules)
     graph = CallGraph(modules=dict(modules))
-    graph.classes = {
-        cid: {
-            "bases": rec["bases"],
-            "methods": sorted(rec["methods"]),
-            # Bases that resolve to project classes, as absolute ids —
-            # the class-hierarchy half consumers (method lookup in the
-            # oracle rule) use these directly.
-            "resolved_bases": [
-                resolved
-                for base in rec["bases"]
-                if (resolved := resolver.resolve_class_name(
-                    base, modules[rec["module"]]
-                )) is not None
-            ],
-        }
-        for cid, rec in resolver.classes.items()
-    }
     for mod in modules.values():
         for qual, fn in mod.functions.items():
             func_id = f"{mod.module}.{qual}"

@@ -10,7 +10,7 @@ One AST walk per module produces a :class:`ModuleFacts` record that is
   modules and still reproduces cold-run output bit-for-bit.
 
 Facts are *descriptive*, not judgmental: this module records that a
-function calls ``time.time()`` or mutates a module-level dict; deciding
+function calls ``time.time()`` or swallows a broad except; deciding
 whether that is a violation (and from which entry points it matters) is
 the rules' job.
 """
@@ -24,11 +24,7 @@ from dataclasses import dataclass, field
 WALL_CLOCK = "wall_clock"
 GLOBAL_RNG = "global_rng"
 SET_ITERATION = "set_iteration"
-GLOBAL_REBIND = "global_rebind"
-MODULE_MUTATION = "module_mutation"
 SWALLOW_BROAD = "swallow_broad"
-UNPICKLABLE_ATTR = "unpicklable_attr"
-PY_LOOP = "py_loop"
 
 #: ``time`` module members that read the wall clock (mirrors the
 #: intraprocedural determinism rule).
@@ -49,16 +45,6 @@ _LEGACY_RNG = frozenset(
         "standard_normal", "poisson", "binomial", "exponential", "beta",
         "gamma",
     }
-)
-
-_MUTABLE_CALLS = frozenset(
-    {"dict", "list", "set", "defaultdict", "deque", "OrderedDict",
-     "Counter", "bytearray"}
-)
-
-_MUTATOR_METHODS = frozenset(
-    {"append", "extend", "insert", "add", "update", "setdefault", "pop",
-     "popitem", "clear", "remove", "discard", "appendleft"}
 )
 
 _BROAD_EXCEPTS = frozenset({"Exception", "BaseException"})
@@ -100,7 +86,6 @@ class FunctionFacts:
     annotations: dict[str, str] = field(default_factory=dict)
     return_annotation: str = ""
     is_staticmethod: bool = False
-    is_reference: bool = False
     #: Call sites: {"expr": ["self", "m"] dotted parts, "lineno": int}.
     calls: list[dict] = field(default_factory=list)
     #: Direct effects: {"kind": ..., "lineno": ..., "detail": ...}.
@@ -128,7 +113,6 @@ class FunctionFacts:
             "annotations": self.annotations,
             "return_annotation": self.return_annotation,
             "is_staticmethod": self.is_staticmethod,
-            "is_reference": self.is_reference,
             "calls": self.calls,
             "effects": self.effects,
             "local_types": self.local_types,
@@ -295,26 +279,6 @@ def _classify_width(node: ast.AST) -> object:
     return None
 
 
-def _module_level_mutables(tree: ast.Module) -> set[str]:
-    out: set[str] = set()
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value = stmt.targets[0], stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            target, value = stmt.target, stmt.value
-        else:
-            continue
-        if not isinstance(target, ast.Name):
-            continue
-        if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                              ast.DictComp, ast.SetComp)):
-            out.add(target.id)
-        elif isinstance(value, ast.Call) and isinstance(value.func, ast.Name) \
-                and value.func.id in _MUTABLE_CALLS:
-            out.add(target.id)
-    return out
-
-
 def _is_set_expr(node: ast.AST) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
@@ -358,10 +322,8 @@ def _handler_is_swallowing(handler: ast.ExceptHandler) -> str | None:
 class _FunctionWalker(ast.NodeVisitor):
     """Collects one function's facts; nested defs get their own walker."""
 
-    def __init__(self, facts: "FunctionFacts", module_mutables: set[str],
-                 time_aliases: set[str]) -> None:
+    def __init__(self, facts: "FunctionFacts", time_aliases: set[str]) -> None:
         self.facts = facts
-        self.module_mutables = module_mutables
         self.time_aliases = time_aliases
         self._loop_depth = 0
         self._branch_depth = 0
@@ -384,24 +346,11 @@ class _FunctionWalker(ast.NodeVisitor):
 
     # ---------------------------------------------------------- effects
 
-    def visit_Global(self, node: ast.Global) -> None:
-        for name in node.names:
-            self.facts.effects.append(
-                {"kind": GLOBAL_REBIND, "lineno": node.lineno,
-                 "detail": f"global {name}"}
-            )
-
     def visit_For(self, node: ast.For) -> None:
         if _is_set_expr(node.iter):
             self.facts.effects.append(
                 {"kind": SET_ITERATION, "lineno": node.lineno,
                  "detail": "iterates a bare set"}
-            )
-        if not self.facts.is_reference \
-                and self.facts.qualname != "<module>":
-            self.facts.effects.append(
-                {"kind": PY_LOOP, "lineno": node.lineno,
-                 "detail": "statement for loop"}
             )
         self._enter_loop(node)
 
@@ -464,21 +413,16 @@ class _FunctionWalker(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        self._record_assign_targets(node.targets, node.value, node)
+        self._record_assign_targets(node.targets, node.value)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if node.value is not None:
-            self._record_assign_targets([node.target], node.value, node)
+            self._record_assign_targets([node.target], node.value)
         self.generic_visit(node)
 
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._record_mutation_target(node.target, node)
-        self.generic_visit(node)
-
-    def _record_assign_targets(self, targets, value, node) -> None:
+    def _record_assign_targets(self, targets, value) -> None:
         for target in targets:
-            self._record_mutation_target(target, node)
             if not isinstance(target, ast.Name):
                 continue
             # Track constructor/factory locals for method resolution.
@@ -499,37 +443,6 @@ class _FunctionWalker(ast.NodeVisitor):
             self.facts.assigns[target.id] = (
                 tag if prev in (None, tag) else "other"
             )
-
-    def _record_mutation_target(self, target, node) -> None:
-        if isinstance(target, ast.Subscript) \
-                and isinstance(target.value, ast.Name) \
-                and target.value.id in self.module_mutables:
-            self.facts.effects.append(
-                {"kind": MODULE_MUTATION, "lineno": node.lineno,
-                 "detail": f"writes module-level {target.value.id!r}"}
-            )
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._record_mutation_target(elt, node)
-        elif isinstance(target, ast.Attribute) \
-                and isinstance(target.value, ast.Name) \
-                and target.value.id == "self" \
-                and isinstance(node, ast.Assign):
-            value = node.value
-            what = None
-            if isinstance(value, ast.Lambda):
-                what = "a lambda"
-            elif isinstance(value, ast.GeneratorExp):
-                what = "a generator expression"
-            elif isinstance(value, ast.Call) \
-                    and isinstance(value.func, ast.Name) \
-                    and value.func.id == "open":
-                what = "an open file handle"
-            if what:
-                self.facts.effects.append(
-                    {"kind": UNPICKLABLE_ATTR, "lineno": node.lineno,
-                     "detail": f"self.{target.attr} holds {what}"}
-                )
 
     def visit_Return(self, node: ast.Return) -> None:
         if isinstance(node.value, ast.Tuple):
@@ -573,12 +486,6 @@ class _FunctionWalker(ast.NodeVisitor):
             self.facts.effects.append(
                 {"kind": GLOBAL_RNG, "lineno": node.lineno,
                  "detail": f"np.random.{parts[-1]}()"}
-            )
-        elif len(parts) == 2 and parts[1] in _MUTATOR_METHODS \
-                and parts[0] in self.module_mutables:
-            self.facts.effects.append(
-                {"kind": MODULE_MUTATION, "lineno": node.lineno,
-                 "detail": f"mutates module-level {parts[0]!r}"}
             )
 
     # ----------------------------------------------------------- bit I/O
@@ -722,7 +629,6 @@ def extract_facts(module: str, relpath: str, tree: ast.Module) -> ModuleFacts:
     """The one walk: AST in, serializable :class:`ModuleFacts` out."""
     facts = ModuleFacts(module=module, relpath=relpath)
     facts.imports, time_aliases = _walk_imports(tree, module)
-    mutables = _module_level_mutables(tree)
 
     for stmt in tree.body:
         if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
@@ -754,8 +660,7 @@ def extract_facts(module: str, relpath: str, tree: ast.Module) -> ModuleFacts:
             isinstance(d, ast.Name) and d.id == "staticmethod"
             for d in node.decorator_list
         )
-        fn.is_reference = node.name.endswith("_reference")
-        walker = _FunctionWalker(fn, mutables, time_aliases)
+        walker = _FunctionWalker(fn, time_aliases)
         if in_class and not fn.is_staticmethod and fn.params:
             # `self`/`cls` resolves within the enclosing class.
             fn.local_types.setdefault(fn.params[0], f"<class:{in_class}>")
@@ -767,18 +672,12 @@ def extract_facts(module: str, relpath: str, tree: ast.Module) -> ModuleFacts:
             fn.return_tuple = walker._returns[0]
         facts.functions[qualname] = fn
         # Nested defs get their own (qualified) records.
-        for sub in ast.walk(node):
-            if sub is not node and isinstance(
-                sub, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                pass  # handled below via explicit recursion
-
         for stmt_ in node.body:
             if isinstance(stmt_, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 walk_function(stmt_, f"{qualname}.{stmt_.name}", in_class)
 
     module_fn = FunctionFacts(qualname="<module>", lineno=1)
-    module_walker = _FunctionWalker(module_fn, mutables, time_aliases)
+    module_walker = _FunctionWalker(module_fn, time_aliases)
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             walk_function(stmt, stmt.name, None)
@@ -810,12 +709,8 @@ __all__ = [
     "ModuleFacts",
     "classify_value",
     "extract_facts",
-    "GLOBAL_REBIND",
     "GLOBAL_RNG",
-    "MODULE_MUTATION",
-    "PY_LOOP",
     "SET_ITERATION",
     "SWALLOW_BROAD",
-    "UNPICKLABLE_ATTR",
     "WALL_CLOCK",
 ]

@@ -2,17 +2,13 @@
 
 Modes:
 
-* default / ``--check``: lint ``src/repro``, subtract the baseline,
-  report **new** findings plus **stale** and **unjustified** baseline
-  entries; exit 1 if any of the three exist, 0 otherwise.  (``--check``
-  is an explicit alias so CI invocations read as what they are.)
-* ``--write-baseline``: rewrite the baseline file from the current
-  findings.  Existing justifications are preserved by ``(rule, file,
-  line)``; new entries get a ``TODO`` placeholder that ``--check``
-  rejects until a human writes the one-line reason.
+* default / ``--check``: lint ``src/repro`` and report every finding;
+  exit 1 if there is any, 0 otherwise.  (``--check`` is an explicit
+  alias so CI invocations read as what they are.)  There is no
+  suppression mechanism: a finding is fixed, not recorded.
 * ``--json``: machine-readable report on stdout (same exit codes).
 * ``--format=github``: one ``::error file=...,line=...`` workflow
-  annotation per problem, so findings land on the PR diff in CI.
+  annotation per finding, so findings land on the PR diff in CI.
 
 The interprocedural analysis caches per-module facts (keyed by file
 content hash) under ``<root>/.lint_cache`` so warm runs only re-analyze
@@ -27,18 +23,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from pathlib import Path
 
 from .analysis import FactsCache
 from .analysis.cache import DEFAULT_CACHE_DIRNAME
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from .core import run_lint
+from .findings import Finding
 from .rules import ALL_CHECKERS
 
 
@@ -67,20 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="project root (default: auto-detect via pyproject.toml)",
     )
     parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help=f"baseline file (default: <root>/{DEFAULT_BASELINE_NAME})",
-    )
-    parser.add_argument(
         "--check", action="store_true",
         help="explicit check mode (the default behaviour; reads well in CI)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline from current findings and exit",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline: report every finding",
     )
     parser.add_argument("--json", action="store_true", help="JSON report")
     parser.add_argument(
@@ -103,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _github_annotation(file: str, line: int, rule: str, message: str) -> str:
+def _github_annotation(finding: Finding) -> str:
     """One GitHub Actions workflow-command error annotation.
 
     Newlines and the command's reserved characters must be URL-encoded
@@ -118,8 +96,8 @@ def _github_annotation(file: str, line: int, rule: str, message: str) -> str:
         return text
 
     return (
-        f"::error file={escape(file, ',:')},line={line},"
-        f"title={escape(rule, ',:')}::{escape(message)}"
+        f"::error file={escape(finding.file, ',:')},line={finding.line},"
+        f"title={escape(finding.rule, ',:')}::{escape(finding.message)}"
     )
 
 
@@ -132,9 +110,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     root = (args.root or find_root()).resolve()
-    baseline_path = args.baseline or root / DEFAULT_BASELINE_NAME
-    if not baseline_path.is_absolute():
-        baseline_path = root / baseline_path
 
     cache = None
     if not args.no_cache:
@@ -146,34 +121,15 @@ def main(argv: list[str] | None = None) -> int:
     findings = run_lint(root, paths=args.paths or None, cache=cache)
     if cache is not None:
         cache.save()
-
-    if args.write_baseline:
-        previous = load_baseline(baseline_path)
-        entries = write_baseline(baseline_path, findings, previous)
-        todo = sum(1 for e in entries if e.justification.startswith("TODO"))
-        print(
-            f"wrote {len(entries)} baseline entr"
-            f"{'y' if len(entries) == 1 else 'ies'} to {baseline_path}"
-            + (f" ({todo} still need a justification)" if todo else "")
-        )
-        return 0
-
-    entries = [] if args.no_baseline else load_baseline(baseline_path)
-    report = apply_baseline(findings, entries)
+    clean = not findings
 
     if args.json:
         print(
             json.dumps(
                 {
                     "root": str(root),
-                    "baseline": str(baseline_path),
-                    "new": [f.to_dict() for f in report.new],
-                    "stale_baseline": [e.to_dict() for e in report.stale],
-                    "unjustified_baseline": [
-                        e.to_dict() for e in report.unjustified
-                    ],
-                    "suppressed": len(report.suppressed),
-                    "clean": report.clean,
+                    "findings": [f.to_dict() for f in findings],
+                    "clean": clean,
                     "cache": (
                         None
                         if cache is None
@@ -183,55 +139,17 @@ def main(argv: list[str] | None = None) -> int:
                 indent=2,
             )
         )
-        return 0 if report.clean else 1
+        return 0 if clean else 1
 
-    if args.format == "github":
-        for finding in report.new:
-            print(
-                _github_annotation(
-                    finding.file, finding.line, finding.rule, finding.message
-                )
-            )
-        for entry in report.stale:
-            print(
-                _github_annotation(
-                    entry.file, entry.line, entry.rule,
-                    f"stale baseline entry ({entry.message}) — the finding "
-                    "is gone, delete the suppression",
-                )
-            )
-        for entry in report.unjustified:
-            print(
-                _github_annotation(
-                    entry.file, entry.line, entry.rule,
-                    "baseline entry has no justification — write the "
-                    "one-line reason",
-                )
-            )
-    else:
-        for finding in report.new:
-            print(finding.render())
-        for entry in report.stale:
-            print(
-                f"{entry.render()}  [stale baseline entry: finding no longer "
-                "present — delete it from the baseline]"
-            )
-        for entry in report.unjustified:
-            print(
-                f"{entry.render()}  [baseline entry has no justification — "
-                "write the one-line reason]"
-            )
-    suppressed = len(report.suppressed)
-    if report.clean:
-        print(
-            f"lint clean: 0 new findings"
-            + (f", {suppressed} baselined" if suppressed else "")
-        )
+    render = _github_annotation if args.format == "github" else Finding.render
+    for finding in findings:
+        print(render(finding))
+    if clean:
+        print("lint clean: 0 findings")
         return 0
     print(
-        f"lint FAILED: {len(report.new)} new, {len(report.stale)} stale "
-        f"baseline, {len(report.unjustified)} unjustified baseline "
-        f"({suppressed} suppressed)"
+        f"lint FAILED: {len(findings)} finding"
+        f"{'' if len(findings) == 1 else 's'}"
     )
     return 1
 

@@ -7,13 +7,12 @@ effects.  Three pieces:
 
 * :class:`ModuleContext` — one parsed source file (path, source, tree);
 * :class:`Project` — the whole analysis input: every module context
-  plus cross-file facts (today: the set of oracle paths registered in
-  ``tests/strategies/registry.py``, parsed statically);
+  plus the interprocedural analysis built over them;
 * :class:`Checker` / :class:`ScopedVisitor` — the per-rule base
   classes.  A checker yields :class:`~repro.lint.findings.Finding`
   objects for one module at a time; the scoped visitor maintains the
   enclosing class/function stack so rules can reason about qualnames
-  ("is this loop inside a ``*_reference`` oracle?").
+  ("is this the blessed ``WallClock.now``?").
 """
 
 from __future__ import annotations
@@ -27,10 +26,6 @@ from .findings import Finding
 
 #: Where the analyzed sources live, relative to the project root.
 SRC_PREFIX = "src/repro"
-
-#: The statically-parsed registration side table (see
-#: :func:`load_registered_oracles`).
-REGISTRY_PATH = "tests/strategies/registry.py"
 
 
 @dataclass
@@ -69,10 +64,6 @@ class Project:
 
     root: Path
     modules: list[ModuleContext] = field(default_factory=list)
-    #: Oracle dotted paths registered in the strategy registry, or
-    #: ``None`` when the registry file is absent (e.g. linting fixture
-    #: trees) — ``None`` disables the registration check.
-    registered_oracles: frozenset[str] | None = None
     #: The interprocedural view (call graph, effect summaries, bit-width
     #: model), built by :func:`build_project` over the same parsed
     #: modules.  ``None`` only if construction was explicitly skipped.
@@ -124,57 +115,30 @@ class ScopedVisitor(ast.NodeVisitor):
     """A visitor that tracks the enclosing class/function scopes.
 
     Subclasses get ``self.class_stack`` and ``self.func_stack`` (names,
-    outermost first) and may override ``visit_*`` as usual — the scope
-    bookkeeping wraps the class/function visits, and subclasses that
-    need to hook those override :meth:`handle_function` /
-    :meth:`handle_class` instead of the raw ``visit_FunctionDef``.
+    outermost first) and may override ``visit_*`` as usual; the scope
+    bookkeeping wraps the class/function visits.
     """
 
     def __init__(self) -> None:
         self.class_stack: list[str] = []
         self.func_stack: list[str] = []
 
-    # -- scope bookkeeping -------------------------------------------------
-
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.handle_class(node)
         self.class_stack.append(node.name)
         self.generic_visit(node)
         self.class_stack.pop()
 
-    def _visit_function(self, node) -> None:
-        self.handle_function(node)
+    def visit_FunctionDef(self, node) -> None:
         self.func_stack.append(node.name)
         self.generic_visit(node)
         self.func_stack.pop()
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_function(node)
-
-    # -- subclass hooks ----------------------------------------------------
-
-    def handle_class(self, node: ast.ClassDef) -> None:
-        pass
-
-    def handle_function(self, node) -> None:
-        pass
-
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def at_module_level(self) -> bool:
-        return not self.func_stack
+    visit_AsyncFunctionDef = visit_FunctionDef
 
     @property
     def qualname(self) -> str:
         """``Class.method`` / ``function`` / ``""`` at module level."""
         return ".".join(self.class_stack + self.func_stack)
-
-    def inside_reference_oracle(self) -> bool:
-        return any(name.endswith("_reference") for name in self.func_stack)
 
 
 # ---------------------------------------------------------------- loading
@@ -220,29 +184,6 @@ def parse_module(path: Path, root: Path) -> ModuleContext | Finding:
     return ModuleContext(path=path, relpath=relpath, source=source, tree=tree)
 
 
-def load_registered_oracles(root: Path) -> frozenset[str] | None:
-    """Oracle dotted paths from the strategy registry, statically.
-
-    Reads every ``oracle="..."`` keyword string in
-    ``tests/strategies/registry.py`` without importing it (the registry
-    imports numpy and hypothesis; the linter must not).  Returns
-    ``None`` when the file does not exist, which disables the
-    registration half of the oracle-pairing rule.
-    """
-    path = root / REGISTRY_PATH
-    if not path.is_file():
-        return None
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    oracles: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.keyword) and node.arg == "oracle":
-            if isinstance(node.value, ast.Constant) and isinstance(
-                node.value.value, str
-            ):
-                oracles.add(node.value.value)
-    return frozenset(oracles)
-
-
 def build_project(
     root: Path,
     paths: Iterable[str] | None = None,
@@ -266,7 +207,6 @@ def build_project(
             parse_failures.append(parsed)
         else:
             project.modules.append(parsed)
-    project.registered_oracles = load_registered_oracles(root)
     project.analysis = build_analysis(project.modules, cache)
     return project, parse_failures
 
@@ -308,7 +248,6 @@ __all__ = [
     "ScopedVisitor",
     "build_project",
     "discover_files",
-    "load_registered_oracles",
     "parse_module",
     "run_checkers",
     "run_lint",

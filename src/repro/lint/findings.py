@@ -1,11 +1,8 @@
 """The unit of lint output: one finding at one file/line.
 
 Findings are plain value objects so every layer above them — checkers,
-the baseline, the CLI, the tests — can compare, sort, and serialize
-them without ceremony.  The identity used for baseline matching is
-``(rule, file, line)``: messages may be reworded without invalidating a
-suppression, but a finding that moves (or whose file disappears) makes
-its baseline entry stale, which ``--check`` treats as an error.
+the CLI, the tests — can compare, sort, and serialize them without
+ceremony.
 """
 
 from __future__ import annotations
@@ -27,11 +24,6 @@ class Finding:
     #: chain also appears (shortened) in ``message``; this field keeps
     #: it machine-readable for the JSON report.
     chain: tuple[str, ...] = ()
-
-    @property
-    def key(self) -> tuple[str, str, int]:
-        """Baseline-matching identity (message excluded, see module doc)."""
-        return (self.rule, self.file, self.line)
 
     def render(self) -> str:
         return f"{self.file}:{self.line}: [{self.rule}] {self.message}"

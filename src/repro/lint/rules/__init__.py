@@ -2,19 +2,15 @@
 
 | rule id             | protects                                        |
 |---------------------|-------------------------------------------------|
-| `oracle-pairing`    | the ``*_reference`` oracle convention           |
 | `rng-discipline`    | explicit, plumbed randomness                    |
 | `determinism`       | virtual-time + order-independent serialization  |
-| `shard-readiness`   | picklable sessions, no per-process module state |
-| `hot-path-purity`   | the batched modules stay vectorized             |
 | `exception-hygiene` | no silently-swallowed broad excepts             |
 | `width-parity`      | encoder field widths match decoder reads        |
 
-``determinism``, ``rng-discipline``, ``exception-hygiene``,
-``shard-readiness``, and ``hot-path-purity`` are *transitive* since
-PR 9: they follow call chains through the project-wide analysis layer
-(``repro.lint.analysis``) and flag entry points whose helpers violate
-the convention, with the witness chain in the message.
+``determinism``, ``rng-discipline`` and ``exception-hygiene`` are
+*transitive*: they follow call chains through the project-wide analysis
+layer (``repro.lint.analysis``) and flag entry points whose helpers
+violate the convention, with the witness chain in the message.
 
 See ``docs/static_analysis.md`` for the full catalogue and how to add
 a checker.
@@ -25,18 +21,12 @@ from __future__ import annotations
 from ..core import Checker
 from .determinism import DeterminismChecker
 from .exceptions import ExceptionHygieneChecker
-from .hotpath import HotPathPurityChecker
-from .oracle import OraclePairingChecker
 from .rng import RngDisciplineChecker
-from .shard import ShardReadinessChecker
 from .widthparity import WidthParityChecker
 
 ALL_CHECKERS: tuple[type[Checker], ...] = (
-    OraclePairingChecker,
     RngDisciplineChecker,
     DeterminismChecker,
-    ShardReadinessChecker,
-    HotPathPurityChecker,
     ExceptionHygieneChecker,
     WidthParityChecker,
 )
@@ -50,10 +40,7 @@ __all__ = [
     "ALL_CHECKERS",
     "DeterminismChecker",
     "ExceptionHygieneChecker",
-    "HotPathPurityChecker",
-    "OraclePairingChecker",
     "RngDisciplineChecker",
-    "ShardReadinessChecker",
     "WidthParityChecker",
     "default_checkers",
 ]

@@ -1,7 +1,7 @@
 """Shared plumbing for the transitive halves of the rules.
 
 A transitive rule flags an *entry point* — a function the rule's domain
-cares about (serialization path, runtime boundary, batched module) —
+cares about (serialization path, runtime boundary) —
 when an effect is reachable anywhere in its call chain but not in its
 own body (the intraprocedural half already owns direct sites).  Noise
 control is central: only **root** entry points are flagged (if a
@@ -36,24 +36,17 @@ def render_chain(entry_id: str, witness: EffectWitness) -> str:
 
 
 def entry_filter_for(
-    project: Project,
-    prefixes: tuple[str, ...],
-    include_reference: bool = True,
+    project: Project, prefixes: tuple[str, ...]
 ) -> Callable[[str], bool]:
     """Entry points = real functions under the given module prefixes."""
     graph = project.analysis.graph
 
     def accept(func_id: str) -> bool:
-        if not func_id.startswith(prefixes):
-            return False
-        if func_id.endswith(".<module>"):
-            return False
-        fn = graph.functions.get(func_id)
-        if fn is None:
-            return False
-        if not include_reference and fn.is_reference:
-            return False
-        return True
+        return (
+            func_id.startswith(prefixes)
+            and not func_id.endswith(".<module>")
+            and func_id in graph.functions
+        )
 
     return accept
 

@@ -681,11 +681,7 @@ class VideoDecodeSession(MediaSession):
 
 
 class AudioEncodeSession(MediaSession):
-    """Encode PCM through the Figure-2 subband encoder, a batch at a time.
-
-    The encoder is built per segment, so it follows the module-wide
-    pipeline default (:func:`repro.audio.subbandpipe.use_batched` flips a
-    whole engine run between the batched and scalar-reference paths)."""
+    """Encode PCM through the Figure-2 subband encoder, a batch at a time."""
 
     kind = "audio_encode"
     delivery_point = "output"

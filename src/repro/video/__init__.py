@@ -5,7 +5,6 @@ entropy-coding stages it is built from, and rate/quality metrics.
 """
 
 from .bitstream import BitReader, BitWriter
-from .blockpipe import batched_default, use_batched
 from .dct import (
     blocked_dct_2d,
     blocked_idct_2d,
@@ -52,7 +51,6 @@ __all__ = [
     "VideoDecoder",
     "VideoEncoder",
     "batch_run_levels",
-    "batched_default",
     "bitrate_bps",
     "bits_per_pixel",
     "blocked_dct_2d",
@@ -79,7 +77,6 @@ __all__ = [
     "three_step_search",
     "tile_blocks",
     "untile_blocks",
-    "use_batched",
     "ycbcr_to_rgb",
     "zigzag",
     "zigzag_blocks",

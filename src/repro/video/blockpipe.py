@@ -25,17 +25,12 @@ equivalence is pinned per kernel and per codec in
 ``tests/test_video_blockpipe.py`` and across every registered runtime
 scenario; the speedup is asserted in
 ``benchmarks/bench_block_pipeline.py`` (>= 5x on whole-frame intra encode).
-
-The module-level default (:func:`batched_default`, toggled by the
-:func:`use_batched` context manager) picks the pipeline for codecs
-constructed without an explicit ``batched=`` argument, which is how the
-scenario-wide equivalence tests force whole engine runs down the scalar
-path.
+Codecs pick the pipeline per instance with their ``batched=`` argument
+(default ``True``).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -46,36 +41,6 @@ from .huffman import fast_decoder
 from .quant import dequantize, quantize
 from .rle import batch_run_levels
 from .zigzag import inverse_zigzag_blocks, zigzag_blocks
-
-_BATCHED_DEFAULT = True
-
-
-def batched_default() -> bool:
-    """Whether codecs built without ``batched=`` use the batched pipeline."""
-    return _BATCHED_DEFAULT
-
-
-@contextmanager
-def use_batched(flag: bool):
-    """Temporarily pin the default pipeline (True = batched, False = scalar).
-
-    Affects codecs *constructed* inside the block — the runtime sessions
-    build their encoders/decoders per segment, so wrapping an engine run
-    switches the whole scenario.
-    """
-    global _BATCHED_DEFAULT
-    previous = _BATCHED_DEFAULT
-    _BATCHED_DEFAULT = bool(flag)
-    try:
-        yield
-    finally:
-        _BATCHED_DEFAULT = previous
-
-
-def resolve_batched(batched: bool | None) -> bool:
-    """Constructor helper: explicit flag wins, ``None`` takes the default."""
-    return batched_default() if batched is None else bool(batched)
-
 
 # --------------------------------------------------------------- transforms
 

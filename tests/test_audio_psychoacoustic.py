@@ -1,9 +1,12 @@
 """Tests for the psychoacoustic masking model (paper Section 4)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.audio.psychoacoustic import (
+    QUIET_CEILING_DB,
     PsychoacousticModel,
     bark,
     spreading_db,
@@ -38,6 +41,59 @@ class TestThresholdInQuiet:
 
     def test_rises_at_low_frequencies(self):
         assert threshold_in_quiet(50.0) > threshold_in_quiet(1000.0)
+
+    def test_finite_without_warning_at_192_khz_nyquist(self):
+        # Uncapped, the f**4 term reaches ~85,000 dB at 96 kHz and the
+        # model's 10 ** (tq / 10) overflows to inf with a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tq = threshold_in_quiet(np.linspace(20.0, 96000.0, 64))
+            power = 10.0 ** (tq / 10.0)
+            PsychoacousticModel(
+                sample_rate=192000.0, fft_size=256, num_bands=32
+            ).analyze(tone(40000.0, sample_rate=192000.0)[:256])
+        assert np.all(np.isfinite(tq)) and np.all(np.isfinite(power))
+        assert np.isfinite(threshold_in_quiet(96000.0))
+
+    @pytest.mark.parametrize(
+        "sample_rate", [8000.0, 16000.0, 22050.0, 32000.0, 44100.0, 48000.0]
+    )
+    def test_cap_leaves_audio_rates_unchanged(self, sample_rate):
+        # Up to a 48 kHz Nyquist the ceiling never binds: the threshold is
+        # Terhardt's formula exactly, so no scenario output can move.
+        freqs = np.linspace(0.0, sample_rate / 2.0, 257)
+        f = np.maximum(freqs, 20.0) / 1000.0
+        terhardt = (
+            3.64 * f ** -0.8
+            - 6.5 * np.exp(-0.6 * (f - 3.3) ** 2)
+            + 1e-3 * f ** 4
+        )
+        tq = threshold_in_quiet(freqs)
+        assert np.max(tq) < QUIET_CEILING_DB
+        assert np.array_equal(tq, terhardt)
+
+    def test_ceiling_binds_only_far_above_hearing(self):
+        assert threshold_in_quiet(24000.0) < QUIET_CEILING_DB
+        assert threshold_in_quiet(42000.0) == QUIET_CEILING_DB
+        assert threshold_in_quiet(1e6) == QUIET_CEILING_DB
+
+    @pytest.mark.parametrize("sample_rate", [96000.0, 192000.0, 384000.0])
+    def test_high_rate_batch_matches_per_window(self, sample_rate):
+        model = PsychoacousticModel(
+            sample_rate=sample_rate, fft_size=256, num_bands=32
+        )
+        x = tone(0.3 * sample_rate, duration=0.01, sample_rate=sample_rate)
+        windows = np.stack([x[:256], x[256:512]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = model.analyze_batch(windows)
+            rows = [model.analyze(w) for w in windows]
+        assert np.all(np.isfinite(batch.global_threshold_db))
+        for f, ref in enumerate(rows):
+            assert np.array_equal(
+                batch.global_threshold_db[f], ref.global_threshold_db
+            )
+            assert np.array_equal(batch.band_smr_db[f], ref.band_smr_db)
 
 
 class TestSpreading:

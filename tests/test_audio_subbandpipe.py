@@ -8,6 +8,7 @@ workloads), mirroring the R6 pins in ``tests/test_video_blockpipe.py``.
 """
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,10 +33,8 @@ from repro.audio.frame import SAMPLES_PER_BAND, pack_frame, unpack_frame
 from repro.audio.psychoacoustic import PsychoacousticModel
 from repro.audio.subbandpipe import (
     batch_scalefactors,
-    batched_default,
     pack_frames_batch,
     unpack_frames_batch,
-    use_batched,
 )
 from repro.runtime.scenarios import REGISTRY
 from repro.video.bitstream import BitReader, BitWriter
@@ -366,15 +365,20 @@ class TestCodecEquivalence:
         assert fast.ancillary == ref.ancillary
         assert fast.sample_rate == ref.sample_rate
 
-    def test_use_batched_context_toggles_default(self):
-        assert batched_default() is True
-        with use_batched(False):
-            assert batched_default() is False
-            assert AudioEncoder().batched is False
-            assert AudioDecoder().batched is False
-            assert PolyphaseFilterbank().batched is False
-        assert batched_default() is True
-        assert AudioEncoder().batched is True
+    @pytest.mark.parametrize(
+        "codec", [AudioEncoder, AudioDecoder, PolyphaseFilterbank],
+        ids=lambda c: c.__name__,
+    )
+    def test_pipeline_is_chosen_per_instance(self, codec):
+        # The batched path is the default; the scalar oracle is picked by
+        # argument only, never by state shared between instances.
+        scalar = codec(batched=False)
+        assert codec().batched is True and codec(batched=True).batched is True
+        assert scalar.batched is False
+
+    def test_encoder_hands_its_choice_to_its_filterbank(self):
+        assert AudioEncoder(batched=False)._bank.batched is False
+        assert AudioEncoder()._bank.batched is True
 
 
 def _scenario_digests(scenario, overrides):
@@ -391,14 +395,21 @@ def _scenario_digests(scenario, overrides):
 @pytest.mark.parametrize(
     "scenario_name", sorted(s.name for s in REGISTRY)
 )
-def test_batched_pipeline_bit_identical_on_every_scenario(scenario_name):
+def test_batched_pipeline_bit_identical_on_every_scenario(
+    scenario_name, monkeypatch
+):
     """R7 acceptance: per-session bitstream digests match the scalar
     reference audio path on every registered scenario (the video pipeline
-    stays at its default on both runs, so any drift is audio's)."""
+    stays batched on both runs, so any drift is audio's).  The scalar run
+    rebinds the audio codec names the runtime constructs from to
+    ``batched=False`` factories."""
     scenario = REGISTRY.get(scenario_name)
     overrides = SMALL.get(scenario_name, {})
-    with use_batched(True):
-        fast = _scenario_digests(scenario, overrides)
-    with use_batched(False):
-        ref = _scenario_digests(scenario, overrides)
+    fast = _scenario_digests(scenario, overrides)
+    for target, codec in (
+        ("repro.runtime.session.AudioEncoder", AudioEncoder),
+        ("repro.runtime.session.AudioDecoder", AudioDecoder),
+    ):
+        monkeypatch.setattr(target, partial(codec, batched=False))
+    ref = _scenario_digests(scenario, overrides)
     assert fast == ref

@@ -104,9 +104,6 @@ class TestCallGraph:
         graph = project.analysis.graph
         got = {c for c, _ in graph.callees("repro.video.hier.Derived.run")}
         assert got == {"repro.video.hier.Base.stage"}
-        assert graph.inherited_method(
-            "repro.video.hier.Derived", "stage"
-        ) == "repro.video.hier.Base.stage"
 
 
 # -------------------------------------------------------- effect summaries
@@ -335,7 +332,7 @@ CACHE_TREE = {
 class TestFactsCache:
     def run_cli(self, tmp_path, capsys, *extra):
         code = main(
-            ["--root", str(tmp_path), "--no-baseline", "--json", *extra]
+            ["--root", str(tmp_path), "--json", *extra]
         )
         payload = json.loads(capsys.readouterr().out)
         return code, payload
@@ -349,7 +346,7 @@ class TestFactsCache:
         assert first["cache"]["misses"] > 0
         assert warm["cache"]["misses"] == 0 and warm["cache"]["hits"] > 0
         for payload in (first, warm):
-            assert payload["new"] == cold["new"]
+            assert payload["findings"] == cold["findings"]
 
     def test_single_file_edit_invalidates_only_that_module(
         self, tmp_path, capsys
@@ -368,8 +365,8 @@ class TestFactsCache:
         assert warm["cache"]["misses"] == 1  # only the edited module
         assert warm["cache"]["hits"] == first["cache"]["misses"] - 1
         _, cold = self.run_cli(tmp_path, capsys, "--no-cache")
-        assert warm["new"] == cold["new"]
-        assert any("16" in f["message"] for f in warm["new"])
+        assert warm["findings"] == cold["findings"]
+        assert any("16" in f["message"] for f in warm["findings"])
 
     def test_corrupt_cache_degrades_to_cold(self, tmp_path, capsys):
         materialize(tmp_path, CACHE_TREE)
@@ -378,7 +375,7 @@ class TestFactsCache:
         cache_dir.mkdir()
         (cache_dir / "analysis.json").write_text("{not json")
         _, warm = self.run_cli(tmp_path, capsys)
-        assert warm["new"] == cold["new"]
+        assert warm["findings"] == cold["findings"]
 
     def test_content_hash_keys_the_entry(self, tmp_path):
         cache = FactsCache(str(tmp_path / "cache"))

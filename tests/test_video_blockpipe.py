@@ -6,7 +6,10 @@ kernel by kernel, codec by codec, and across every registered runtime
 scenario (digest comparison over whole engine workloads).
 """
 
+import ast
 import hashlib
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro
 from repro.image.jpeg import JpegLikeCodec
 from repro.video.bitstream import BitReader, BitWriter
 from repro.video.blockpipe import (
-    batched_default,
     plane_to_vectors,
     read_plane_vectors,
-    use_batched,
     vectors_to_plane,
     write_plane_vectors,
 )
@@ -289,15 +291,30 @@ class TestCodecEquivalence:
         with pytest.raises(KeyError):
             JpegLikeCodec(batched=True).encode(wild, quality=50)
 
-    def test_use_batched_context_toggles_default(self):
-        assert batched_default() is True
-        with use_batched(False):
-            assert batched_default() is False
-            assert VideoEncoder().batched is False
-            assert VideoDecoder().batched is False
-            assert JpegLikeCodec().batched is False
-        assert batched_default() is True
-        assert VideoEncoder().batched is True
+    @pytest.mark.parametrize(
+        "codec", [VideoEncoder, VideoDecoder, JpegLikeCodec],
+        ids=lambda c: c.__name__,
+    )
+    def test_pipeline_is_chosen_per_instance(self, codec):
+        # The batched path is the default; the scalar oracle is picked by
+        # argument only, never by state shared between instances.
+        scalar = codec(batched=False)
+        assert codec().batched is True and codec(batched=True).batched is True
+        assert scalar.batched is False
+
+
+@pytest.mark.parametrize("package", ["video", "audio", "image"])
+def test_codec_packages_rebind_no_globals(package):
+    """The codecs hold no process-global state: no ``global`` statement
+    anywhere in their packages."""
+    root = Path(repro.__file__).parent / package
+    rebinds = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Global)
+    ]
+    assert rebinds == []
 
 
 def _scenario_digests(scenario, overrides):
@@ -316,14 +333,21 @@ def _scenario_digests(scenario, overrides):
 @pytest.mark.parametrize(
     "scenario_name", sorted(s.name for s in REGISTRY)
 )
-def test_batched_pipeline_bit_identical_on_every_scenario(scenario_name):
+def test_batched_pipeline_bit_identical_on_every_scenario(
+    scenario_name, monkeypatch
+):
     """R6 acceptance: bitstream digests match the scalar reference path on
     every registered scenario (encode, decode, transcode, and analysis
-    sessions alike)."""
+    sessions alike).  The scalar run rebinds the codec names the runtime
+    constructs from to ``batched=False`` factories."""
     scenario = REGISTRY.get(scenario_name)
     overrides = SMALL.get(scenario_name, {})
-    with use_batched(True):
-        fast = _scenario_digests(scenario, overrides)
-    with use_batched(False):
-        ref = _scenario_digests(scenario, overrides)
+    fast = _scenario_digests(scenario, overrides)
+    for target, codec in (
+        ("repro.runtime.session.VideoEncoder", VideoEncoder),
+        ("repro.runtime.session.VideoDecoder", VideoDecoder),
+        ("repro.runtime.scenarios.VideoEncoder", VideoEncoder),
+    ):
+        monkeypatch.setattr(target, partial(codec, batched=False))
+    ref = _scenario_digests(scenario, overrides)
     assert fast == ref
