@@ -1,10 +1,14 @@
 """C4 — Section 3: motion estimation "greatly reduces the number of bits";
-fast searches trade a little quality for much less compute."""
+fast searches trade a little quality for much less compute — counted in
+SAD evaluations and measured in wall time."""
+
+import time
 
 import numpy as np
 
 from repro.core import render_table
 from repro.video import EncoderConfig, VideoDecoder, VideoEncoder, sequence_psnr
+from repro.video.motion import SEARCH_ALGORITHMS
 
 
 def textured_pan(num_frames=6, height=48, width=64, pan=3, seed=3):
@@ -32,6 +36,18 @@ def encode(algorithm: str, motion: bool = True):
     return VideoEncoder(cfg).encode(FRAMES)
 
 
+def search_wall_ms(algorithm: str, rounds: int = 7) -> float:
+    """Best-of wall time of one search over every consecutive frame pair."""
+    search = SEARCH_ALGORITHMS[algorithm]
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        for reference, current in zip(FRAMES, FRAMES[1:]):
+            search(current, reference, block_size=8, search_range=7)
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e3
+
+
 def test_me_bit_reduction_and_search_tradeoff(benchmark, show):
     benchmark.pedantic(lambda: encode("three_step"), rounds=2, iterations=1)
 
@@ -47,21 +63,30 @@ def test_me_bit_reduction_and_search_tradeoff(benchmark, show):
         decoded = VideoDecoder().decode(encoded.data)
         p_bits = sum(s.bits for s in encoded.frame_stats[1:])
         evals = sum(s.me_evaluations for s in encoded.frame_stats)
-        results[label] = (p_bits, evals)
+        wall_ms = search_wall_ms(alg) if motion else 0.0
+        results[label] = (p_bits, evals, wall_ms)
         rows.append([
             label,
             p_bits,
             evals,
+            f"{wall_ms:.2f}" if motion else "-",
             sequence_psnr(FRAMES, decoded.frames),
         ])
     show(render_table(
-        ["configuration", "P-frame bits", "SAD evals", "PSNR (dB)"],
+        ["configuration", "P-frame bits", "SAD evals", "ME wall (ms)",
+         "PSNR (dB)"],
         rows,
         title="C4: motion estimation bits/compute trade-off",
     ))
-    # Shapes: ME cuts P bits a lot; fast searches cut compute a lot while
-    # staying within ~2x of full-search bits.
-    assert results["full search"][0] < 0.6 * results["no ME (intra residual)"][0]
-    assert results["three-step"][1] < results["full search"][1] / 3
-    assert results["diamond"][1] < results["full search"][1] / 3
-    assert results["three-step"][0] < 2.0 * results["full search"][0]
+    # Shapes: ME cuts P bits a lot; fast searches cut compute a lot — in
+    # evaluations and in wall time — while staying within ~2x of
+    # full-search bits.
+    full = results["full search"]
+    assert full[0] < 0.6 * results["no ME (intra residual)"][0]
+    for fast in ("three-step", "diamond"):
+        assert results[fast][1] < full[1] / 3, fast
+        assert results[fast][2] < full[2], (
+            f"{fast} search ({results[fast][2]:.2f} ms) is not faster than "
+            f"full search ({full[2]:.2f} ms) in wall time"
+        )
+    assert results["three-step"][0] < 2.0 * full[0]

@@ -2,7 +2,8 @@
 
 The benchmark suite writes one JSON artifact per pipeline
 (``BENCH_block_pipeline.json``, ``BENCH_audio_pipeline.json``,
-``BENCH_net_delivery.json``), each recording per-path speedups of the
+``BENCH_net_delivery.json``, ``BENCH_motion_search.json``, ...), each
+recording per-path speedups of the
 batched kernels over their scalar ``_reference`` oracles.  CI has always
 *uploaded* those artifacts; this checker makes them a gate: every
 measured speedup is compared against the committed baseline under
@@ -43,6 +44,7 @@ ARTIFACTS = (
     "BENCH_audio_pipeline.json",
     "BENCH_net_delivery.json",
     "BENCH_obs_overhead.json",
+    "BENCH_motion_search.json",
 )
 
 BASELINE_DIR = Path(__file__).resolve().parent / "baselines"

@@ -73,6 +73,10 @@ class EncoderConfig:
             )
         if not 1 <= self.quality <= 100:
             raise ValueError("quality must be in 1..100")
+        if self.search_range < 0:
+            raise ValueError(
+                f"search range must be non-negative, got {self.search_range}"
+            )
 
     def base_step(self) -> float:
         """Quantizer step implied by ``quality`` (used without rate control).
@@ -303,11 +307,19 @@ class VideoEncoder:
         return stat, recon
 
     def _write_motion(self, writer: BitWriter, motion: MotionField) -> None:
-        by, bx = motion.shape
-        for i in range(by):
-            for j in range(bx):
-                writer.write_se(int(motion.dy[i, j]))
-                writer.write_se(int(motion.dx[i, j]))
+        """Signed Exp-Golomb ``dy, dx`` per block in raster order, one flush.
+
+        Each code is two fields, ``z`` zero bits then ``ue + 1`` in
+        ``z + 1`` bits, exactly what :meth:`BitWriter.write_se` emits per
+        value; the decoder reads them back with ``read_se_many``.
+        """
+        values = np.stack((motion.dy, motion.dx), axis=-1).ravel()
+        values = values.astype(np.int64)
+        codes = np.where(values > 0, 2 * values - 1, -2 * values) + 1
+        nbits = np.frexp(codes)[1]  # bit length, exact below 2**53
+        fields = np.stack((np.zeros_like(codes), codes), axis=-1).ravel()
+        widths = np.stack((nbits - 1, nbits), axis=-1).ravel()
+        writer.write_many(fields, widths)
 
     def _code_plane(
         self,
@@ -400,19 +412,18 @@ class VideoEncoder:
 def _halve_motion(
     motion: MotionField, chroma_shape: tuple[int, int], n: int
 ) -> MotionField:
-    """Derive a chroma-plane motion field from the luma field (4:2:0)."""
-    by = chroma_shape[0] // n
-    bx = chroma_shape[1] // n
-    dy = np.zeros((by, bx), dtype=np.int32)
-    dx = np.zeros((by, bx), dtype=np.int32)
+    """Derive a chroma-plane motion field from the luma field (4:2:0).
+
+    Chroma block ``(i, j)`` takes luma block ``(2i, 2j)``, clamped to the
+    luma grid, and halves its vector with floor division.
+    """
     ly, lx = motion.shape
-    for i in range(by):
-        for j in range(bx):
-            si = min(2 * i, ly - 1)
-            sj = min(2 * j, lx - 1)
-            dy[i, j] = int(motion.dy[si, sj]) // 2
-            dx[i, j] = int(motion.dx[si, sj]) // 2
-    return MotionField(dy=dy, dx=dx, block_size=n)
+    rows = np.minimum(2 * np.arange(chroma_shape[0] // n), ly - 1)
+    cols = np.minimum(2 * np.arange(chroma_shape[1] // n), lx - 1)
+    pick = np.ix_(rows, cols)
+    return MotionField(
+        dy=motion.dy[pick] // 2, dx=motion.dx[pick] // 2, block_size=n
+    )
 
 
 def _unzigzag_cached(vec: np.ndarray, n: int) -> np.ndarray:

@@ -11,12 +11,19 @@ Three block-matching searches are provided, spanning the compute/quality
 trade-off that drives MPSoC provisioning (experiment C4 in DESIGN.md):
 
 * :func:`full_search` — exhaustive over a +/- R window; the quality anchor
-  and by far the heaviest stage of the encoder.  The default implementation
+  and by far the most SAD evaluations.  The default implementation
   evaluates whole displacement planes with NumPy; the block-at-a-time loop
   it replaced is kept as :func:`full_search_reference` and the two are
   asserted equivalent in tests and in ``benchmarks/bench_runtime_streams.py``.
 * :func:`three_step_search` — the classic logarithmic refinement.
 * :func:`diamond_search` — small/large diamond pattern search, the cheapest.
+
+The two pattern searches share :func:`_pattern_search`, which walks every
+block's pattern in lockstep: one candidate gather and one masked ``argmin``
+per ring for all blocks at once (experiment R10).  The block-at-a-time walk
+it replaced is kept as :func:`_pattern_search_reference`; motion fields and
+SAD-evaluation counts are identical, and the fast searches now cost less
+wall time than full search, not just fewer evaluations.
 
 All return a :class:`MotionField` plus the number of SAD evaluations spent,
 which the task-graph workload models consume.
@@ -183,7 +190,87 @@ def _pattern_search(
     search_range: int,
     step_schedule,
 ) -> tuple[MotionField, int]:
-    """Shared driver for the step-pattern searches (TSS, diamond)."""
+    """Shared driver for the step-pattern searches (TSS, diamond), lockstep.
+
+    Every block walks its own pattern, but all blocks take each step
+    together: per ring, a ``(blocks, K)`` grid of candidate vectors around
+    each block's own centre, one gather of the ``(blocks, K, n*n)``
+    candidate pixels, and one first-index ``argmin``.  A block moves only
+    where the ring minimum beats its best so far, which is exactly the
+    strict ``<`` ring scan of :func:`_pattern_search_reference`; a
+    repeating ring (the large diamond) is re-scored only by the blocks
+    that moved.
+
+    Candidates outside the +/- R window or the frame cost ``inf`` and are
+    not counted, so evaluation counts match the loop too.  Each SAD is
+    summed over one contiguous ``n*n`` row, the order ``np.sum`` uses on
+    an ``(n, n)`` block, so the fields agree bit-for-bit even on
+    non-integer planes (the encoder searches its unrounded reconstruction).
+    """
+    n = block_size
+    by, bx = _block_grid(current, n)
+    h, w = reference.shape
+    blocks = by * bx
+    cur = (
+        current.reshape(by, n, bx, n).transpose(0, 2, 1, 3)
+        .reshape(blocks, 1, n * n)
+    )
+    ref = np.ravel(reference)
+    pixels = (np.arange(n)[:, None] * w + np.arange(n)).ravel()
+    y0 = np.repeat(np.arange(by) * n, bx)[:, None]
+    x0 = np.tile(np.arange(bx) * n, by)[:, None]
+
+    def costs(rows, vy, vx, in_window):
+        """SADs of candidates ``(vy, vx)`` of blocks ``rows``; inf if invalid."""
+        sy, sx = y0[rows] + vy, x0[rows] + vx
+        valid = in_window & (sy >= 0) & (sx >= 0) & (sy <= h - n) & (sx <= w - n)
+        cand = np.take(ref, (sy * w + sx)[..., None] + pixels, mode="clip")
+        sads = np.abs(cur[rows] - cand).sum(axis=-1)
+        return np.where(valid, sads, np.inf), valid
+
+    everyone = np.arange(blocks)
+    cy = np.zeros((blocks, 1), dtype=np.int64)
+    cx = np.zeros((blocks, 1), dtype=np.int64)
+    # The loop charges every centre one evaluation, even out of frame.
+    best = costs(everyone, cy, cx, True)[0][:, 0]
+    evaluations = blocks
+    for offsets in step_schedule(search_range):
+        ring = np.asarray(offsets, dtype=np.int64)
+        rows = everyone
+        while rows.size:
+            vy = cy[rows] + ring[:, 0]
+            vx = cx[rows] + ring[:, 1]
+            window = np.maximum(np.abs(vy), np.abs(vx)) <= search_range
+            ring_costs, valid = costs(rows, vy, vx, window)
+            evaluations += int(np.count_nonzero(valid))
+            k = np.argmin(ring_costs, axis=1)
+            lowest = ring_costs[np.arange(rows.size), k]
+            moved = lowest < best[rows]
+            rows, k = rows[moved], k[moved]
+            best[rows] = lowest[moved]
+            cy[rows, 0] = vy[moved, k]
+            cx[rows, 0] = vx[moved, k]
+            if not offsets_repeat(offsets):
+                break
+    field = MotionField(
+        dy=cy.reshape(by, bx), dx=cx.reshape(by, bx), block_size=n
+    )
+    return field, evaluations
+
+
+def _pattern_search_reference(
+    current: np.ndarray,
+    reference: np.ndarray,
+    block_size: int,
+    search_range: int,
+    step_schedule,
+) -> tuple[MotionField, int]:
+    """Block-at-a-time pattern walk: the :func:`_pattern_search` oracle.
+
+    Kept per the ``_reference`` convention as the readable statement of
+    the search and as the baseline ``bench_runtime_streams.py`` times the
+    lockstep driver against.
+    """
     by, bx = _block_grid(current, block_size)
     dy = np.zeros((by, bx), dtype=np.int32)
     dx = np.zeros((by, bx), dtype=np.int32)
@@ -235,6 +322,29 @@ class _RepeatingPattern(list):
     repeat = True
 
 
+def _three_step_schedule(search_range: int):
+    """Three-step rings: the 8 neighbours at a halving step, down to 1."""
+    step = max(1, (search_range + 1) // 2)
+    while step >= 1:
+        yield [
+            (oy * step, ox * step)
+            for oy in (-1, 0, 1)
+            for ox in (-1, 0, 1)
+            if (oy, ox) != (0, 0)
+        ]
+        if step == 1:
+            break
+        step //= 2
+
+
+def _diamond_schedule(search_range: int):
+    """Large diamond repeated until stable, then one small diamond."""
+    yield _RepeatingPattern(
+        [(-2, 0), (2, 0), (0, -2), (0, 2), (-1, -1), (-1, 1), (1, -1), (1, 1)]
+    )
+    yield [(-1, 0), (1, 0), (0, -1), (0, 1)]
+
+
 def three_step_search(
     current: np.ndarray,
     reference: np.ndarray,
@@ -242,21 +352,9 @@ def three_step_search(
     search_range: int = 7,
 ) -> tuple[MotionField, int]:
     """Three-step (logarithmic) search: halving step, 8 neighbours + centre."""
-
-    def schedule(rng: int):
-        step = max(1, (rng + 1) // 2)
-        while step >= 1:
-            yield [
-                (oy * step, ox * step)
-                for oy in (-1, 0, 1)
-                for ox in (-1, 0, 1)
-                if (oy, ox) != (0, 0)
-            ]
-            if step == 1:
-                break
-            step //= 2
-
-    return _pattern_search(current, reference, block_size, search_range, schedule)
+    return _pattern_search(
+        current, reference, block_size, search_range, _three_step_schedule
+    )
 
 
 def diamond_search(
@@ -266,14 +364,9 @@ def diamond_search(
     search_range: int = 7,
 ) -> tuple[MotionField, int]:
     """Diamond search: large diamond until stable, then small diamond."""
-
-    def schedule(rng: int):
-        yield _RepeatingPattern(
-            [(-2, 0), (2, 0), (0, -2), (0, 2), (-1, -1), (-1, 1), (1, -1), (1, 1)]
-        )
-        yield [(-1, 0), (1, 0), (0, -1), (0, 1)]
-
-    return _pattern_search(current, reference, block_size, search_range, schedule)
+    return _pattern_search(
+        current, reference, block_size, search_range, _diamond_schedule
+    )
 
 
 #: Registry used by the encoder configuration and the benchmarks.

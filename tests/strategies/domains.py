@@ -25,7 +25,8 @@ from repro.net.packetizer import (
     Packet,
     packetize,
 )
-from repro.video.encoder import EncoderConfig
+from repro.video.decoder import VideoDecoder
+from repro.video.encoder import EncoderConfig, VideoEncoder
 
 # ------------------------------------------------------------------ seeds
 
@@ -81,20 +82,34 @@ def frame_pairs(draw, block_size=8, max_blocks=3, max_shift=4):
 
     The current frame is the reference shifted by a random global
     displacement plus sparse noise, so motion search has structure to
-    find; both frames are integer-valued and block-aligned.
+    find; both frames are block-aligned.  Pixel values are one of:
+
+    * ``integer`` — floored, like real 8-bit video;
+    * ``float`` — continuous uniform values;
+    * ``decoded`` — the pair after an I/P encode and decode: inverse DCT
+      plus prediction, clipped but never rounded, which is what the
+      encoder searches when it re-encodes decoded video.
     """
     by = draw(st.integers(1, max_blocks))
     bx = draw(st.integers(1, max_blocks))
     h, w = by * block_size, bx * block_size
     rng = np.random.default_rng(draw(rng_seeds()))
-    reference = np.floor(rng.uniform(0.0, 256.0, size=(h, w)))
+    content = draw(st.sampled_from(("integer", "float", "decoded")))
+    reference = rng.uniform(0.0, 256.0, size=(h, w))
     dy = draw(st.integers(-max_shift, max_shift))
     dx = draw(st.integers(-max_shift, max_shift))
     current = np.roll(reference, (dy, dx), axis=(0, 1))
     noise_at = rng.random(size=(h, w)) < 0.05
-    current = np.where(
-        noise_at, np.floor(rng.uniform(0.0, 256.0, size=(h, w))), current
-    )
+    current = np.where(noise_at, rng.uniform(0.0, 256.0, size=(h, w)), current)
+    if content == "integer":
+        return np.floor(current), np.floor(reference)
+    if content == "decoded":
+        cfg = EncoderConfig(
+            gop_size=2, code_chroma=False, quality=draw(st.integers(5, 95))
+        )
+        stream = VideoEncoder(cfg).encode([reference, current]).data
+        first, second = VideoDecoder().decode(stream).frames
+        return second.y, first.y
     return current, reference
 
 

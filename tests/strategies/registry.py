@@ -68,6 +68,10 @@ from repro.video.decoder import VideoDecoder
 from repro.video.encoder import VideoEncoder
 from repro.video.motion import (
     MotionField,
+    _diamond_schedule,
+    _pattern_search,
+    _pattern_search_reference,
+    _three_step_schedule,
     full_search,
     full_search_reference,
     motion_compensate,
@@ -340,6 +344,20 @@ def _motion_cases(draw):
 
 
 @st.composite
+def _pattern_cases(draw):
+    """(current, reference, n, R, schedule) for the pattern-search walks.
+
+    Global shifts up to 8 pixels against ranges 0..7 on frames at most
+    three blocks a side walk blocks into both the window and frame edges.
+    """
+    n = draw(st.sampled_from((4, 8)))
+    current, reference = draw(domains.frame_pairs(block_size=n, max_shift=8))
+    search_range = draw(st.integers(0, 7))
+    schedule = draw(st.sampled_from((_diamond_schedule, _three_step_schedule)))
+    return current, reference, n, search_range, schedule
+
+
+@st.composite
 def _recovery_cases(draw):
     """(parity packet, surviving packets) with 0, 1, or 2 losses."""
     _, _, wire = draw(domains.parity_groups())
@@ -514,6 +532,13 @@ _register(OraclePair(
     run_batched=lambda c: full_search(
         c[0], c[1], block_size=8, search_range=c[2]
     ),
+))
+
+_register(OraclePair(
+    oracle="repro.video.motion._pattern_search_reference",
+    strategy=_pattern_cases(),
+    run_reference=lambda c: _pattern_search_reference(*c),
+    run_batched=lambda c: _pattern_search(*c),
 ))
 
 _register(OraclePair(

@@ -44,6 +44,9 @@ def _write_artifacts(directory: Path, scale: float = 1.0) -> None:
         "BENCH_obs_overhead.json": {
             "engine_tracing_off": 1.2,
         },
+        "BENCH_motion_search.json": {
+            "full": 15.0, "diamond": 5.5, "three_step": 7.4,
+        },
     }
     for name, paths in shapes.items():
         payload = {

@@ -10,6 +10,9 @@ from repro.video import (
     VideoEncoder,
     sequence_psnr,
 )
+from repro.video.bitstream import BitWriter
+from repro.video.encoder import _halve_motion
+from repro.video.motion import SEARCH_ALGORITHMS, MotionField
 from repro.workloads.video_gen import (
     colour_sequence,
     moving_blocks_sequence,
@@ -151,6 +154,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EncoderConfig(gop_size=0)
 
+    def test_negative_search_range_rejected(self):
+        with pytest.raises(ValueError, match="search range"):
+            EncoderConfig(search_range=-1)
+
+    @pytest.mark.parametrize("algorithm", sorted(SEARCH_ALGORITHMS))
+    def test_zero_search_range_codes_zero_vectors(self, algorithm):
+        frames = moving_blocks_sequence(num_frames=2, height=16, width=16)
+        cfg = EncoderConfig(
+            search_algorithm=algorithm, search_range=0, code_chroma=False
+        )
+        encoded, decoded = roundtrip(frames, cfg)
+        assert encoded.frame_stats[1].me_evaluations == 4  # one per block
+        assert len(decoded.frames) == 2
+
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             VideoEncoder().encode([])
@@ -159,6 +176,67 @@ class TestConfigValidation:
         frames = [np.zeros((16, 16)), np.zeros((32, 32))]
         with pytest.raises(ValueError):
             VideoEncoder().encode(frames)
+
+
+INT32 = np.iinfo(np.int32)
+
+
+def _halve_motion_loop(motion, chroma_shape, n):
+    """The per-block loop ``_halve_motion`` replaced: the pinned behaviour."""
+    by, bx = chroma_shape[0] // n, chroma_shape[1] // n
+    dy = np.zeros((by, bx), dtype=np.int32)
+    dx = np.zeros((by, bx), dtype=np.int32)
+    ly, lx = motion.shape
+    for i in range(by):
+        for j in range(bx):
+            si, sj = min(2 * i, ly - 1), min(2 * j, lx - 1)
+            dy[i, j] = int(motion.dy[si, sj]) // 2
+            dx[i, j] = int(motion.dx[si, sj]) // 2
+    return dy, dx
+
+
+class TestMotionSideInfo:
+    """The MV writer and the chroma field, against per-value loops."""
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [(0, 0), (-3, 3), (-64, 64), (-(1 << 20), 1 << 20),
+         (INT32.min, INT32.max)],
+    )
+    def test_motion_bits_equal_write_se(self, rng, lo, hi):
+        shape = tuple(int(s) for s in rng.integers(1, 9, size=2))
+        dy = rng.integers(lo, hi, size=shape, endpoint=True)
+        dx = rng.integers(lo, hi, size=shape, endpoint=True)
+        dy.flat[0], dx.flat[-1] = lo, hi
+        field = MotionField(dy=dy, dx=dx, block_size=8)
+        fast, slow = BitWriter(), BitWriter()
+        for writer in (fast, slow):
+            writer.write_bits(5, 3)  # start mid-byte
+        VideoEncoder()._write_motion(fast, field)
+        for value in np.stack((field.dy, field.dx), axis=-1).ravel():
+            slow.write_se(int(value))
+        assert len(fast) == len(slow)
+        assert fast.getvalue() == slow.getvalue()
+
+    @pytest.mark.parametrize(
+        "luma,chroma",
+        [((2, 2), (1, 1)), ((3, 5), (2, 3)), ((5, 3), (3, 2)),
+         ((1, 1), (2, 3)), ((4, 6), (3, 5)), ((6, 8), (3, 4))],
+    )
+    def test_halve_motion_matches_block_loop(self, rng, luma, chroma):
+        n = 8
+        field = MotionField(
+            dy=rng.integers(-15, 16, size=luma),
+            dx=rng.integers(-15, 16, size=luma),
+            block_size=n,
+        )
+        shape = (chroma[0] * n, chroma[1] * n)
+        halved = _halve_motion(field, shape, n)
+        dy, dx = _halve_motion_loop(field, shape, n)
+        assert halved.dy.dtype == np.int32 and halved.dx.dtype == np.int32
+        assert np.array_equal(halved.dy, dy)
+        assert np.array_equal(halved.dx, dx)
+        assert halved.block_size == n
 
 
 class TestStats:
