@@ -138,8 +138,8 @@ class JpegLikeCodec:
         eob = tables.eob_symbol(BLOCK)
         if self.batched:
             blocks = (pad_h // BLOCK) * (pad_w // BLOCK)
-            vectors, _ = read_plane_vectors(
-                reader, blocks, BLOCK, 0, ac_codec, dc_codec, eob
+            (vectors,) = read_plane_vectors(
+                reader, [blocks], BLOCK, ac_codec, dc_codec, eob
             )
             out = vectors_to_plane(vectors, matrix, BLOCK, (pad_h, pad_w))
             out += 128.0

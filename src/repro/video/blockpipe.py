@@ -12,8 +12,10 @@ every stage runs over the block axis in a handful of NumPy passes:
 * ``write_plane_vectors`` — vectorized run-length extraction
   (:func:`repro.video.rle.batch_run_levels`) plus table-driven Huffman/
   magnitude field assembly, flushed through ``BitWriter.write_many``;
-* ``read_plane_vectors`` — the (inherently serial) entropy parse, shared by
-  the video decoder and the JPEG codec;
+* ``read_plane_vectors`` — the entropy parse of a whole frame's planes:
+  a serial walk of one multi-event table probe per 16-bit window, then one
+  NumPy pass for DC prediction, in-block positions and the scatter; shared
+  by the video decoder and (one plane) the JPEG codec;
 * ``vectors_to_plane`` — batched dequantize + inverse zig-zag + inverse DCT
   back to a plane.
 
@@ -32,10 +34,12 @@ Codecs pick the pipeline per instance with their ``batched=`` argument
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from . import codec_tables as tables
+from .bitstream import PEEK_WIDTH
 from .dct import blocked_dct_2d, blocked_idct_2d, tile_blocks, untile_blocks
 from .huffman import fast_decoder
 from .quant import dequantize, quantize
@@ -193,119 +197,181 @@ def write_plane_vectors(
 
 def read_plane_vectors(
     reader,
-    nblocks: int,
+    plane_blocks,
     block_size: int,
-    prev_dc: int,
     ac_codec,
     dc_codec,
     eob: int,
-) -> tuple[np.ndarray, int]:
-    """Parse a plane's entropy stream into ``(nblocks, n*n)`` vectors.
+) -> list[np.ndarray]:
+    """Parse consecutive planes' entropy streams into zig-zag vectors.
 
-    The old "Huffman parsing cannot be vectorized" disclaimer that used
-    to live here was only true of the bit-at-a-time formulation: with the
-    whole buffer unpacked once into :meth:`BitReader.bit_window` peeks,
-    one fused table probe (:func:`repro.video.codec_tables.event_table`)
-    resolves a whole event — Huffman code *plus* magnitude field — so the
-    per-symbol work drops from up to 31 dict probes and as many
-    ``read_bit`` calls to a single list index.  Decoded ``(block, pos,
-    level)`` triples are scattered into the batch tensor in one fancy-
-    index store at the end.
+    ``plane_blocks`` lists each plane's block count; plane ``i`` comes
+    back as an ``(plane_blocks[i], n*n)`` array, its DC predictor
+    starting at 0 as the encoder writes it.  The serial part of the parse
+    is one :func:`repro.video.codec_tables.chunk_table` probe per
+    :meth:`BitReader.bit_window` peek, which resolves the greedy run of
+    complete events — Huffman code *plus* magnitude field — the window
+    starts with, and records only the row id.  One NumPy pass over all
+    planes then gathers the rows, turns DC differences into levels (a
+    cumulative sum restarted per plane), finds in-block positions (a
+    segmented cumulative sum of ``run + 1``), checks for overrun, and
+    scatters once; the last row is counted only up to the final
+    end-of-block, so the reader stops where the scalar parse does.
 
-    Rare events the peek cannot resolve (codes past the first-level
-    depth, magnitudes spilling past the window, end-of-buffer inside an
-    event, corrupt patterns) replay the exact scalar parse for that one
-    event, so results *and* errors are bit-identical to
-    :func:`read_plane_vectors_reference` — pinned by the oracle pair in
-    ``tests/strategies/registry.py``.
+    A window whose *first* event does not fit it (a code or magnitude past
+    the peek, a chunk past the end of the buffer, a corrupt pattern) gets
+    one exact scalar event, and before such an event's error propagates
+    the events collected so far are checked for an overrun, which comes
+    first in the stream.  Results *and* errors are thus bit-identical to
+    :func:`read_plane_vectors_reference` run once per plane — pinned by
+    the oracle pair in ``tests/strategies/registry.py`` and the parity
+    property in ``tests/test_video_blockpipe.py``.
     """
+    plane_blocks = list(plane_blocks)
+    bounds = [0, *accumulate(plane_blocks)]
+    total = bounds[-1]
     length = block_size * block_size
-    vectors = np.zeros((nblocks, length), dtype=np.int32)
-    if nblocks == 0:
-        return vectors, prev_dc
-    ac_events = tables.event_table(ac_codec, eob)
-    dc_events = tables.event_table(dc_codec)
-    ac_fast = fast_decoder(ac_codec)
-    dc_fast = fast_decoder(dc_codec)
-    window = reader.bit_window()
-    nbits = reader.size_bits
-    pos = reader.bit_position
-    bias = tables.EVENT_BIAS
-    dc_values: list[int] = []
-    rows: list[int] = []
-    cols: list[int] = []
-    levels: list[int] = []
-    for b in range(nblocks):
-        # --- DC event: category code + magnitude, fused ---------------
-        kind = tables.EVENT_FALLBACK
-        if pos < nbits:
-            entry = dc_events[window[pos]]
-            kind = entry >> tables.EVENT_KIND_SHIFT
-            if kind == 0:
-                after = pos + ((entry >> tables.EVENT_BITS_SHIFT) & 63)
-                if after <= nbits:
-                    prev_dc += (entry & 0xFFFFF) - bias
-                    pos = after
-                else:
-                    kind = tables.EVENT_FALLBACK
-        if kind != 0:
-            reader.seek(pos)
-            cat = dc_fast.decode_symbol(reader)
-            prev_dc += tables.decode_magnitude(cat, reader)
-            pos = reader.bit_position
-        dc_values.append(prev_dc)
-        # --- AC events until end-of-block ------------------------------
-        p = 1
-        while True:
-            kind = tables.EVENT_FALLBACK
-            if pos < nbits:
-                entry = ac_events[window[pos]]
-                kind = entry >> tables.EVENT_KIND_SHIFT
-                if kind == 0:
-                    after = pos + ((entry >> tables.EVENT_BITS_SHIFT) & 63)
-                    if after <= nbits:
-                        p += (entry >> tables.EVENT_RUN_SHIFT) & 0xFFFFF
-                        if p >= length:
-                            raise ValueError(
-                                "corrupt stream: AC coefficients overrun "
-                                "block"
-                            )
-                        rows.append(b)
-                        cols.append(p)
-                        levels.append((entry & 0xFFFFF) - bias)
-                        p += 1
-                        pos = after
-                        continue
-                    kind = tables.EVENT_FALLBACK
-                elif kind == tables.EVENT_EOB:
-                    after = pos + ((entry >> tables.EVENT_BITS_SHIFT) & 63)
-                    if after <= nbits:
-                        pos = after
-                        break
-                    kind = tables.EVENT_FALLBACK
-            if kind != 0:
-                reader.seek(pos)
-                symbol = ac_fast.decode_symbol(reader)
-                if symbol == eob:
-                    pos = reader.bit_position
+    if total == 0:
+        return [np.zeros((nb, length), dtype=np.int32) for nb in plane_blocks]
+    heads, slots = tables.chunk_table(ac_codec, dc_codec, eob)
+    window = memoryview(reader.bit_window())
+    safe = reader.size_bits - PEEK_WIDTH  # a chunk read here fits the buffer
+    bits_mask = tables.CHUNK_BITS_MASK
+    ac_state = tables.CHUNK_AC
+    eob_shift = tables.CHUNK_EOB_SHIFT
+    start = pos = reader.bit_position
+    ids: list[int] = []
+    append = ids.append
+    exact_id = len(slots)  # the row id that stands for the next of extra
+    extra: list[int] = []  # exactly parsed events
+    state = eobs = 0
+    while True:
+        while pos <= safe:
+            key = state | window[pos]
+            head = heads[key]
+            if not head:
+                break
+            append(key)
+            pos += head & bits_mask
+            state = head & ac_state
+            if head >> eob_shift:
+                eobs += head >> eob_shift
+                if eobs >= total:
                     break
-                run, cat = tables.unpack_ac(symbol)
-                p += run
-                if p >= length:
-                    raise ValueError(
-                        "corrupt stream: AC coefficients overrun block"
-                    )
-                value = tables.decode_magnitude(cat, reader)
-                rows.append(b)
-                cols.append(p)
-                levels.append(value)
-                p += 1
-                pos = reader.bit_position
+        if eobs >= total:
+            break
+        event = _exact_event(
+            reader, pos, state, ac_codec, dc_codec, eob, slots, ids, extra,
+            length,
+        )
+        extra.append(event)
+        append(exact_id)
+        pos = reader.bit_position
+        if event & tables.EVENT_EOB:
+            eobs += 1
+            state = 0
+        else:
+            state = ac_state
+
+    events, dc_at, eob_at, ends = _block_layout(
+        _recorded_events(slots, ids, extra), length, total
+    )
+    reader.seek(start + int((events & tables.EVENT_BITS_MASK).sum()))
+    values = events >> tables.EVENT_VALUE_SHIFT
+    # Flat output index of every event: its block's base plus its
+    # in-block position.  An end-of-block lands one past its block's last
+    # level — a zero slot, or the next block's DC slot (one spare slot
+    # after the last), which the DC store below overwrites.
+    flat = ends + np.repeat(
+        np.arange(0, total * length, length) - ends[dc_at],
+        eob_at - dc_at + 1,
+    )
+    out = np.zeros(total * length + 1, dtype=np.int32)
+    out[flat] = values
+    dc_sums = np.cumsum(values[dc_at])
+    restart = [int(dc_sums[b - 1]) if b else 0 for b in bounds[:-1]]
+    out[:-1:length] = dc_sums - np.repeat(restart, plane_blocks)
+    vectors = out[:-1].reshape(total, length)
+    return [vectors[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _exact_event(
+    reader, pos, state, ac_codec, dc_codec, eob, slots, ids, extra, length
+) -> int:
+    """One event parsed exactly at ``pos``, packed like a table event.
+
+    If the parse fails, an overrun among the events recorded so far — or
+    in this AC event itself, whose run is checked before its magnitude is
+    read, as the scalar parse does — is raised in place of the failure.
+    """
     reader.seek(pos)
-    vectors[:, 0] = dc_values
-    if levels:
-        vectors[rows, cols] = levels
-    return vectors, prev_dc
+    pending: list[int] = []
+    try:
+        if state:
+            symbol = fast_decoder(ac_codec).decode_symbol(reader)
+            if symbol == eob:
+                return (
+                    (1 << tables.EVENT_STEP_SHIFT)
+                    | tables.EVENT_EOB
+                    | (reader.bit_position - pos)
+                )
+            run, category = tables.unpack_ac(symbol)
+            kind = (run + 1) << tables.EVENT_STEP_SHIFT
+            pending.append(kind)
+        else:
+            category = fast_decoder(dc_codec).decode_symbol(reader)
+            kind = tables.EVENT_DC
+        value = tables.decode_magnitude(category, reader)
+    except (EOFError, ValueError):
+        if state:  # close the open block so its levels are checked too
+            pending.append(tables.EVENT_EOB | (1 << tables.EVENT_STEP_SHIFT))
+        _block_layout(
+            _recorded_events(
+                slots, ids + [len(slots)] * len(pending), extra + pending
+            ),
+            length,
+        )
+        raise
+    return (
+        (value << tables.EVENT_VALUE_SHIFT)
+        | kind
+        | (reader.bit_position - pos)
+    )
+
+
+def _recorded_events(slots, ids, extra) -> np.ndarray:
+    """The packed events of the recorded chunk rows, in stream order.
+
+    Each row id past ``slots`` stands for the next event of ``extra``.
+    """
+    ids = np.fromiter(ids, dtype=np.intp, count=len(ids))
+    rows = slots.take(ids, axis=0, mode="clip")
+    if extra:
+        exact = ids >= len(slots)
+        rows[exact] = 0
+        rows[exact, 0] = extra
+    return rows[rows != 0]
+
+
+def _block_layout(events, length, blocks=None):
+    """``(events, dc_at, eob_at, ends)`` of stream-ordered events.
+
+    With ``blocks`` given, ``events`` is first cut after that many
+    end-of-blocks.  ``dc_at`` / ``eob_at`` index each block's DC and
+    end-of-block, and ``ends`` is the running sum of in-block advances,
+    so block ``b``'s levels sit at ``ends - ends[dc_at[b]]``.  Raises the
+    scalar parse's overrun error when a closed block's end-of-block lands
+    past the block.
+    """
+    eob_at = np.flatnonzero(events & tables.EVENT_EOB)
+    if blocks is not None:
+        eob_at = eob_at[:blocks]
+        events = events[:eob_at[-1] + 1]
+    dc_at = np.flatnonzero(events & tables.EVENT_DC)
+    ends = np.cumsum((events >> tables.EVENT_STEP_SHIFT) & 0xFF)
+    if np.any(ends[eob_at] - ends[dc_at[:eob_at.size]] > length):
+        raise ValueError("corrupt stream: AC coefficients overrun block")
+    return events, dc_at, eob_at, ends
 
 
 def read_plane_vectors_reference(

@@ -119,30 +119,28 @@ def decode_magnitude(category: int, reader) -> int:
 # LUT: the magnitude bits are part of the table index, so every possible
 # payload pattern under a code gets its own pre-decoded entry.
 #
-# Entry packing (int64): ``value + EVENT_BIAS`` in the low 20 bits, the
-# run (AC) in the next 20, the total consumed bit count at
-# :data:`EVENT_BITS_SHIFT`, and a 2-bit kind at :data:`EVENT_KIND_SHIFT`
-# (0 = run/value event, 1 = end-of-block, 2 = fall back to the exact
-# scalar parse: code or magnitude beyond the peek, or an unassigned
-# pattern).
+# Event packing (int32): the signed value in the high 16 bits (categories
+# stay below 16), the event's in-block advance in the 8 bits at
+# :data:`EVENT_STEP_SHIFT` (``run + 1`` for an AC level — runs stay below
+# 255 — 1 for an end-of-block, 0 for a DC difference), the :data:`EVENT_DC` /
+# :data:`EVENT_EOB` flags, and the consumed bit count — code plus
+# magnitude — in the low 6 bits.  Every event consumes at least one bit,
+# so 0 means "no event": the code or its magnitude runs past the peek, or
+# the pattern is unassigned, and the caller must parse that event exactly.
 
-EVENT_BIAS = 1 << 19
-EVENT_RUN_SHIFT = 20
-EVENT_BITS_SHIFT = 40
-EVENT_KIND_SHIFT = 46
-EVENT_EOB = 1
-EVENT_FALLBACK = 2
-
-#: Every index resolves to "fall back" until a code claims it.
-_FALLBACK_ENTRY = EVENT_FALLBACK << EVENT_KIND_SHIFT
+EVENT_BITS_MASK = 0x3F
+EVENT_DC = 0x40
+EVENT_EOB = 0x80
+EVENT_STEP_SHIFT = 8
+EVENT_VALUE_SHIFT = 16
 
 
 def _magnitude_values(category: int) -> np.ndarray:
     """Decoded values for every ``category``-bit magnitude payload, in
     payload order (the inverse of :func:`magnitude_bits`)."""
     if category == 0:
-        return np.zeros(1, dtype=np.int64)
-    payloads = np.arange(1 << category, dtype=np.int64)
+        return np.zeros(1, dtype=np.int32)
+    payloads = np.arange(1 << category, dtype=np.int32)
     return np.where(
         payloads >= 1 << (category - 1),
         payloads,
@@ -150,47 +148,131 @@ def _magnitude_values(category: int) -> np.ndarray:
     )
 
 
-def build_event_table(codec: HuffmanCodec, eob: int | None = None) -> list[int]:
-    """Fused ``window -> (kind, run, value, bits)`` decode table.
+def build_event_table(
+    codec: HuffmanCodec, eob: int | None = None
+) -> np.ndarray:
+    """Fused ``window -> packed event`` decode table (int32, 0 = no event).
 
     ``codec``'s symbols are interpreted as packed ``(run, category)`` AC
     events when ``eob`` is given (with ``eob`` itself the end-of-block
-    marker) and as bare DC categories otherwise, with ``run`` fixed at 0.
-    Returned as a plain list: the entropy hot loop indexes it with Python
-    integers, where list access beats ndarray scalar boxing.
+    marker) and as DC categories otherwise.
     """
-    table = np.full(1 << PEEK_WIDTH, _FALLBACK_ENTRY, dtype=np.int64)
+    table = np.zeros(1 << PEEK_WIDTH, dtype=np.int32)
     for symbol, (code, length) in codec.codes.items():
         if length > PEEK_WIDTH:
-            continue  # prefix indexes keep the fallback entry
+            continue  # prefix indexes keep "no event"
         base = code << (PEEK_WIDTH - length)
         span = 1 << (PEEK_WIDTH - length)
         if eob is not None and symbol == eob:
             table[base:base + span] = (
-                (EVENT_EOB << EVENT_KIND_SHIFT)
-                | (length << EVENT_BITS_SHIFT)
-                | EVENT_BIAS
+                (1 << EVENT_STEP_SHIFT) | EVENT_EOB | length
             )
             continue
-        run, category = unpack_ac(symbol) if eob is not None else (0, symbol)
+        if eob is None:
+            category, kind = symbol, EVENT_DC
+        else:
+            run, category = unpack_ac(symbol)
+            kind = (run + 1) << EVENT_STEP_SHIFT
         if length + category > PEEK_WIDTH:
-            continue  # magnitude spills past the peek: keep the fallback
-        values = _magnitude_values(category)
+            continue  # magnitude spills past the peek: keep "no event"
         entries = (
-            ((length + category) << EVENT_BITS_SHIFT)
-            | (run << EVENT_RUN_SHIFT)
-            | (values + EVENT_BIAS)
+            (_magnitude_values(category) << EVENT_VALUE_SHIFT)
+            | kind
+            | (length + category)
         )
-        repeat = 1 << (PEEK_WIDTH - length - category)
-        table[base:base + span] = np.repeat(entries, repeat)
-    return table.tolist()
-
-
-def event_table(codec: HuffmanCodec, eob: int | None = None) -> list[int]:
-    """Cached :func:`build_event_table` (stashed on the codec instance,
-    mirroring :func:`repro.video.huffman.fast_decoder`)."""
-    cache = codec.__dict__.setdefault("_event_tables", {})
-    table = cache.get(eob)
-    if table is None:
-        table = cache[eob] = build_event_table(codec, eob)
+        table[base:base + span] = np.repeat(
+            entries, 1 << (PEEK_WIDTH - length - category)
+        )
     return table
+
+
+# ------------------------------------------------ chunked event tables
+#
+# The parse of a plane is a two-state machine: the next event is either a
+# block's DC difference or one of its AC events, and an end-of-block
+# returns it to DC.  Keyed by ``state | window`` (state 0 = DC,
+# :data:`CHUNK_AC` = AC), one probe of :func:`chunk_table` resolves the
+# greedy run of *complete* events a whole PEEK_WIDTH-bit window starts
+# with — about three events of a dense block — so the serial part of the
+# parse advances a window at a time and defers every per-event field to
+# one NumPy pass over the recorded row ids.
+
+#: Events kept per chunk row: measured as fast as 8 at half the memory.
+CHUNK_SLOTS = 4
+#: The AC state: the row offset of its half of the table, and the bit of
+#: a chunk header that says the run ends in it.
+CHUNK_AC = 1 << PEEK_WIDTH
+#: A chunk header packs the bits consumed (low bits), :data:`CHUNK_AC` and
+#: the end-of-blocks crossed (from :data:`CHUNK_EOB_SHIFT` up).
+CHUNK_BITS_MASK = 0x1F
+CHUNK_EOB_SHIFT = PEEK_WIDTH + 1
+
+
+def _greedy_chunks(events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(slots, code)`` of every ``state | window`` row.
+
+    ``events`` is the DC event table followed by the AC one.  ``code``
+    packs each row's header in a byte: bits consumed (low 5 bits, 0 when
+    even the first event does not fit), end-of-blocks crossed (next 2 —
+    four events cross at most two) and whether the run ends in the AC
+    state (bit 7).  Everything stays int32, so the transient is a few
+    row-sized arrays.
+    """
+    rows = events.size
+    rest = np.arange(rows, dtype=np.int32)
+    state = rest & CHUNK_AC
+    rest &= CHUNK_AC - 1  # the window bits not yet consumed, left-aligned
+    consumed = np.zeros(rows, dtype=np.int32)
+    eobs = np.zeros(rows, dtype=np.int32)
+    alive = np.ones(rows, dtype=bool)
+    slots = np.zeros((rows, CHUNK_SLOTS), dtype=np.int32)
+    for k in range(CHUNK_SLOTS):
+        event = events[state | rest]
+        bits = event & EVENT_BITS_MASK
+        alive &= (bits > 0) & (consumed + bits <= PEEK_WIDTH)
+        event[~alive] = 0
+        bits[~alive] = 0
+        slots[:, k] = event
+        consumed += bits
+        rest &= 0xFFFF >> bits
+        rest <<= bits
+        is_eob = (event & EVENT_EOB).astype(bool)
+        eobs += is_eob
+        state[alive] = CHUNK_AC
+        state[is_eob] = 0
+    code = consumed | (eobs << 5) | (state >> (PEEK_WIDTH - 7))
+    code[consumed == 0] = 0
+    return slots, code
+
+
+@lru_cache(maxsize=4)
+def chunk_table(
+    ac_codec: HuffmanCodec, dc_codec: HuffmanCodec, eob: int
+) -> tuple[list[int], np.ndarray]:
+    """Two-state multi-event decode table: ``(heads, slots)``.
+
+    Row ``state | w`` describes the greedy run of complete events that
+    the window ``w`` starts with in ``state``: ``slots[row]`` holds up to
+    :data:`CHUNK_SLOTS` packed events (see :func:`build_event_table`),
+    zero-filled, and ``heads[row]`` the chunk header (see
+    :data:`CHUNK_BITS_MASK`), 0 when even the first event does not fit.
+    ``heads`` is a list because the parse loop indexes it with Python
+    integers.  Headers take few distinct values, so each is looked up in
+    a small object table and the list shares one int per value instead
+    of boxing 2**17 of them: the two tables hold ~3 MB.
+    """
+    slots, code = _greedy_chunks(
+        np.concatenate(
+            (build_event_table(dc_codec), build_event_table(ac_codec, eob))
+        )
+    )
+    header = np.array(
+        [
+            (c & CHUNK_BITS_MASK)
+            | (c >> 7) * CHUNK_AC
+            | (c >> 5 & 3) << CHUNK_EOB_SHIFT
+            for c in range(256)
+        ],
+        dtype=object,
+    )
+    return header[code].tolist(), slots

@@ -16,7 +16,7 @@ from . import codec_tables as tables
 from .bitstream import BitReader
 from .blockpipe import read_plane_vectors, vectors_to_plane
 from .dct import idct_2d
-from .encoder import MAGIC, VERSION, _halve_motion
+from .encoder import BLOCK_SIZE, MAGIC, VERSION, _halve_motion
 from .frames import Frame
 from .motion import MotionField, motion_compensate, motion_compensate_reference
 from .quant import INTRA_BASE, dequantize, uniform_matrix
@@ -41,10 +41,13 @@ class DecodedVideo:
 class VideoDecoder:
     """Parses and reconstructs streams produced by :class:`VideoEncoder`.
 
-    ``batched`` picks the reconstruction pipeline (see
-    :class:`~repro.video.encoder.VideoEncoder`): entropy parsing is serial
-    either way, but the batched path dequantizes, un-scans, and inverse-
-    transforms a whole plane of blocks at once.  Outputs are bit-identical.
+    ``batched`` picks the pipeline (see
+    :class:`~repro.video.encoder.VideoEncoder`): the batched path parses
+    each frame's entropy stream in one chunked call
+    (:func:`~repro.video.blockpipe.read_plane_vectors`) before it
+    allocates anything the header sizes, then dequantizes, un-scans, and
+    inverse-transforms a whole plane of blocks at once; the reference
+    path walks block by block.  Outputs and errors are bit-identical.
     """
 
     def __init__(self, batched: bool = True) -> None:
@@ -76,10 +79,12 @@ class VideoDecoder:
         block_size = reader.read_bits(8)
         num_frames = reader.read_bits(16)
         code_chroma = bool(reader.read_bits(1))
-        if block_size == 0:
-            # A corrupted header field must fail like any other parse
-            # error, not as a ZeroDivisionError in the padding math.
-            raise ValueError("corrupt stream header: block size 0")
+        if block_size != BLOCK_SIZE:
+            # Checked before any table is built for it: a corrupt size
+            # would otherwise cost tables (and time) that grow with it.
+            raise ValueError(
+                f"corrupt stream header: unsupported block size {block_size}"
+            )
 
         ac_codec = tables.default_ac_codec(block_size)
         dc_codec = tables.default_dc_codec(block_size)
@@ -172,14 +177,22 @@ class VideoDecoder:
                 block_size=n,
             )
 
-        recon: dict[str, np.ndarray] = {}
         plane_specs = [("y", pad_h, pad_w)]
         if code_chroma:
             plane_specs += [("cb", cpad_h, cpad_w), ("cr", cpad_h, cpad_w)]
+        plane_blocks = [(ph // n) * (pw // n) for _, ph, pw in plane_specs]
+        if self.batched:
+            # Parse the whole frame before allocating anything sized by
+            # the header: a corrupt stream fails within its own bits.
+            plane_vectors = read_plane_vectors(
+                reader, plane_blocks, n, ac_codec, dc_codec, eob
+            )
         compensate = (
             motion_compensate if self.batched else motion_compensate_reference
         )
-        for name, ph, pw in plane_specs:
+        matrix = inter_matrix if is_inter else intra_matrix
+        recon: dict[str, np.ndarray] = {}
+        for index, (name, ph, pw) in enumerate(plane_specs):
             if not is_inter or motion is None:
                 prediction = np.full((ph, pw), 128.0)
             elif name == "y":
@@ -190,11 +203,18 @@ class VideoDecoder:
             else:
                 chroma_field = _halve_motion(motion, (ph, pw), n)
                 prediction = compensate(reference[name], chroma_field)
-            matrix = inter_matrix if is_inter else intra_matrix
-            plane, blocks = self._decode_plane(
-                reader, ph, pw, n, matrix, prediction,
-                ac_codec, dc_codec, eob,
-            )
+            if self.batched:
+                plane = vectors_to_plane(
+                    plane_vectors[index], matrix, n, (ph, pw)
+                )
+                plane += prediction
+                np.clip(plane, 0.0, 255.0, out=plane)
+            else:
+                plane, _ = self._decode_plane_reference(
+                    reader, ph, pw, n, matrix, prediction,
+                    ac_codec, dc_codec, eob,
+                )
+            blocks = plane_blocks[index]
             recon[name] = plane
             frame_ops["inverse_dct"] = (
                 frame_ops.get("inverse_dct", 0.0) + blocks * 2 * n ** 3
@@ -212,32 +232,6 @@ class VideoDecoder:
             cr=recon["cr"][:chroma_h, :chroma_w],
         )
         return frame, ("P" if is_inter else "I"), frame_ops, recon
-
-    def _decode_plane(
-        self,
-        reader: BitReader,
-        height: int,
-        width: int,
-        n: int,
-        matrix: np.ndarray,
-        prediction: np.ndarray,
-        ac_codec,
-        dc_codec,
-        eob: int,
-    ) -> tuple[np.ndarray, int]:
-        if not self.batched:
-            return self._decode_plane_reference(
-                reader, height, width, n, matrix, prediction,
-                ac_codec, dc_codec, eob,
-            )
-        blocks = (height // n) * (width // n)
-        vectors, _ = read_plane_vectors(
-            reader, blocks, n, 0, ac_codec, dc_codec, eob
-        )
-        plane = vectors_to_plane(vectors, matrix, n, (height, width))
-        plane += prediction
-        np.clip(plane, 0.0, 255.0, out=plane)
-        return plane, blocks
 
     def _decode_plane_reference(
         self,

@@ -42,9 +42,11 @@ from .zigzag import zigzag
 MAGIC = 0x5657  # "VW"
 VERSION = 1
 
-#: Header field capacities (16-bit frame count, 8-bit block size).
+#: Header field capacity (16-bit frame count).
 MAX_HEADER_FRAMES = 0xFFFF
-MAX_BLOCK_SIZE = 0xFF
+#: The one block size the codec supports: the intra quantization matrix
+#: ``INTRA_BASE`` (and with it every intra frame) is 8x8.
+BLOCK_SIZE = 8
 
 
 @dataclass
@@ -62,8 +64,11 @@ class EncoderConfig:
     motion_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.block_size < 2:
-            raise ValueError("block size must be at least 2")
+        if self.block_size != BLOCK_SIZE:
+            raise ValueError(
+                f"unsupported block size {self.block_size}: the intra "
+                f"quantization matrix is {BLOCK_SIZE}x{BLOCK_SIZE}"
+            )
         if self.gop_size < 1:
             raise ValueError("GOP size must be at least 1")
         if self.search_algorithm not in SEARCH_ALGORITHMS:
@@ -210,16 +215,11 @@ class VideoEncoder:
                 f"{len(frames)} frames exceed the 16-bit frame-count "
                 f"field (max {MAX_HEADER_FRAMES}); split the sequence"
             )
-        if cfg.block_size > MAX_BLOCK_SIZE:
-            raise ValueError(
-                f"block size {cfg.block_size} does not fit its 8-bit "
-                f"header field (max {MAX_BLOCK_SIZE})"
-            )
         writer.write_bits(MAGIC, 16)
         writer.write_bits(VERSION, 4)
         writer.write_bits(frames[0].width, 16)
         writer.write_bits(frames[0].height, 16)
-        writer.write_bits(cfg.block_size, 8)
+        writer.write_bits(BLOCK_SIZE, 8)
         writer.write_bits(len(frames), 16)
         writer.write_bits(1 if cfg.code_chroma else 0, 1)
 

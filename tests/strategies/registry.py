@@ -275,45 +275,66 @@ def _se_bitstreams(draw):
 
 
 @st.composite
-def _plane_vector_streams(draw):
-    """(bytes, nblocks, n): an entropy-coded plane + trailing noise.
+def plane_vector_streams(draw, overrun=False):
+    """(bytes, plane_blocks, n): a frame's entropy-coded planes + noise.
 
-    Built symbol by symbol against the default codecs — sparse AC
-    levels with categories across the full 1..12 range, DC differences
-    over the whole admissible span — so the fused event tables see
-    first-level hits, magnitude spills, and end-of-block codes.
+    Built symbol by symbol against the default codecs: one to three
+    planes of zero to six blocks.  A block is sparse, with AC categories
+    across the full 1..12 range and DC differences over the whole
+    admissible span (magnitudes spill past the 16-bit peek); dense, with
+    small levels (several events share one window, so chunks straddle
+    block and plane ends); or empty.  Trailing noise pins the final
+    reader position.  With ``overrun``, one block runs its levels past
+    the block end and the stream stops a few events later, so the
+    overrun is followed by the end of the buffer.
     """
     n = draw(st.sampled_from((4, 8)))
-    nblocks = draw(st.integers(0, 6))
+    plane_blocks = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
     rng = np.random.default_rng(draw(domains.rng_seeds()))
     ac = codec_tables.default_ac_codec(n)
     dc = codec_tables.default_dc_codec(n)
     eob = codec_tables.eob_symbol(n)
+    nblocks = sum(plane_blocks)
+    broken = int(rng.integers(nblocks)) if overrun and nblocks else -1
     writer = BitWriter()
     total = n * n
-    for _ in range(nblocks):
-        diff = int(rng.integers(-2048, 2049))
+    for b in range(nblocks):
+        style = int(rng.integers(3))  # sparse-large, dense-small, empty
+        span, magnitude = (2048, 4096) if style == 0 else (3, 4)
+        diff = int(rng.integers(-span, span + 1))
         dc.encode_symbol(codec_tables.magnitude_category(diff), writer)
         codec_tables.encode_magnitude(diff, writer)
-        k = int(rng.integers(0, min(9, total)))
-        positions = sorted(
-            int(p)
-            for p in rng.choice(np.arange(1, total), size=k, replace=False)
-        ) if k else []
+        if b == broken:
+            positions = list(range(1, total + int(rng.integers(1, 4))))
+        elif style == 0:
+            k = int(rng.integers(0, min(9, total)))
+            positions = sorted(
+                int(p) for p in
+                rng.choice(np.arange(1, total), size=k, replace=False)
+            )
+        elif style == 1:
+            positions = sorted(
+                int(p) for p in np.flatnonzero(rng.random(total - 1) < 0.7) + 1
+            )
+        else:
+            positions = []
         last = 0
         for p in positions:
-            value = int(rng.integers(1, 4096)) * (-1 if rng.random() < 0.5 else 1)
+            value = int(rng.integers(1, magnitude))
+            value *= -1 if rng.random() < 0.5 else 1
             symbol = codec_tables.pack_ac(
                 p - last - 1, codec_tables.magnitude_category(value)
             )
             ac.encode_symbol(symbol, writer)
             codec_tables.encode_magnitude(value, writer)
             last = p
+        if b == broken:
+            break
         ac.encode_symbol(eob, writer)
     trailing = draw(st.integers(0, 17))
     if trailing:
         writer.write_bits(draw(st.integers(0, (1 << trailing) - 1)), trailing)
-    return writer.getvalue(), nblocks, n
+    return writer.getvalue(), plane_blocks, n
 
 
 @st.composite
@@ -416,23 +437,37 @@ def _read_se(batched: bool):
     return run
 
 
-def _plane_vectors(batched: bool):
-    def run(case):
-        data, nblocks, n = case
-        reader = BitReader(data)
-        fn = read_plane_vectors if batched else read_plane_vectors_reference
-        vectors, prev_dc = fn(
-            reader,
-            nblocks,
-            n,
-            0,
-            codec_tables.default_ac_codec(n),
-            codec_tables.default_dc_codec(n),
-            codec_tables.eob_symbol(n),
-        )
-        return vectors, prev_dc, reader.bit_position
+def plane_parse_outcome(
+    data: bytes, plane_blocks, n: int, codecs=None, *, batched: bool
+):
+    """``(vectors, bit_position)`` of a frame's plane parse, or the
+    ``(exception type, message)`` it raised.
 
-    return run
+    The batched side is one :func:`read_plane_vectors` call over every
+    plane; the reference side runs :func:`read_plane_vectors_reference`
+    once per plane with the DC predictor at 0, as the decoders do.
+    ``codecs`` overrides the default ``(ac, dc)`` pair.
+    """
+    ac, dc = codecs or (
+        codec_tables.default_ac_codec(n), codec_tables.default_dc_codec(n)
+    )
+    eob = codec_tables.eob_symbol(n)
+    reader = BitReader(data)
+    try:
+        if batched:
+            vectors = read_plane_vectors(reader, plane_blocks, n, ac, dc, eob)
+        else:
+            vectors = [
+                read_plane_vectors_reference(reader, nb, n, 0, ac, dc, eob)[0]
+                for nb in plane_blocks
+            ]
+    except (EOFError, ValueError) as exc:
+        return type(exc), str(exc)
+    return vectors, reader.bit_position
+
+
+def _plane_vectors(batched: bool):
+    return lambda case: plane_parse_outcome(*case, batched=batched)
 
 
 def _compensate(batched: bool):
@@ -564,7 +599,7 @@ _register(OraclePair(
 
 _register(OraclePair(
     oracle="repro.video.blockpipe.read_plane_vectors_reference",
-    strategy=_plane_vector_streams(),
+    strategy=plane_vector_streams(),
     run_reference=_plane_vectors(batched=False),
     run_batched=_plane_vectors(batched=True),
 ))

@@ -21,12 +21,16 @@ loaded settings profile.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.audio import AudioDecoder, AudioEncoder
-from repro.video import VideoDecoder, VideoEncoder
+from repro.video import VideoDecoder, VideoEncoder, codec_tables
+from repro.workloads.video_gen import moving_blocks_sequence
 
 from strategies import domains
 
@@ -121,6 +125,64 @@ def test_video_bitflip_clear_error_or_sane_output(stream, data):
     assert len(shapes) <= 1
     for frame in decoded.frames:
         assert np.all(np.isfinite(frame.y))
+
+
+#: Bit offsets of the video header's width, height and block-size
+#: fields (after the 16-bit magic and the 4-bit version).
+WIDTH_AT, HEIGHT_AT, BLOCK_SIZE_AT = 20, 36, 52
+
+
+def _set_field(data: bytes, at: int, width: int, value: int) -> bytes:
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    bits[at:at + width] = [value >> (width - 1 - k) & 1 for k in range(width)]
+    return np.packbits(bits).tobytes()
+
+
+def _small_video() -> bytes:
+    """A ~5 KB stream: five 64x48 frames with chroma."""
+    frames = moving_blocks_sequence(num_frames=5, height=48, width=64, seed=3)
+    return VideoEncoder().encode(frames).data
+
+
+@pytest.mark.parametrize("block_size", [0, 4, 16, 255])
+def test_video_unsupported_block_size_rejected_before_tables(
+    block_size, monkeypatch
+):
+    """A corrupt block size fails in the header, even when concealing,
+    before any code table is built for it (a 255 once cost ~40 s)."""
+    data = _set_field(_small_video(), BLOCK_SIZE_AT, 8, block_size)
+
+    def no_tables(n):
+        raise AssertionError(f"built a code table for block size {n}")
+
+    monkeypatch.setattr(codec_tables, "default_ac_codec", no_tables)
+    monkeypatch.setattr(codec_tables, "default_dc_codec", no_tables)
+    with pytest.raises(ValueError) as raised:
+        VideoDecoder().decode(data, conceal=True)
+    assert str(raised.value) == (
+        f"corrupt stream header: unsupported block size {block_size}"
+    )
+
+
+def test_video_oversized_header_fails_within_its_own_bits():
+    """A 4000x4000 header on a ~5 KB stream: the frame's events are
+    parsed before any header-sized prediction or vector buffer exists,
+    so the error costs memory in proportion to the stream, and matches
+    the scalar decoder's."""
+    data = _small_video()
+    data = _set_field(data, WIDTH_AT, 16, 4000)
+    data = _set_field(data, HEIGHT_AT, 16, 4000)
+    with pytest.raises(VIDEO_ERRORS) as scalar:
+        VideoDecoder(batched=False).decode(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(scalar.type) as batched:
+            VideoDecoder().decode(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(batched.value) == str(scalar.value)
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # ------------------------------------------------------------------ audio

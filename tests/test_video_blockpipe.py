@@ -8,7 +8,7 @@ scenario (digest comparison over whole engine workloads).
 
 import ast
 import hashlib
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 import repro
 from repro.image.jpeg import JpegLikeCodec
+from repro.video import codec_tables as tables
 from repro.video.bitstream import BitReader, BitWriter
 from repro.video.blockpipe import (
     plane_to_vectors,
@@ -36,6 +37,7 @@ from repro.video.dct import (
 )
 from repro.video.decoder import VideoDecoder
 from repro.video.encoder import EncoderConfig, VideoEncoder
+from repro.video.huffman import HuffmanCodec
 from repro.video.quant import INTRA_BASE, dequantize, quantize, scaled_matrix
 from repro.video.rle import EOB, batch_run_levels, encode_block, encode_blocks
 from repro.runtime.scenarios import REGISTRY
@@ -48,6 +50,12 @@ from repro.video.zigzag import (
     zigzag_reference,
 )
 from repro.workloads.video_gen import moving_blocks_sequence
+
+from strategies.registry import (
+    assert_equivalent,
+    plane_parse_outcome,
+    plane_vector_streams,
+)
 
 #: Smallest viable parameterisation per registered scenario (mirrors the
 #: scheduler determinism sweep in ``tests/test_runtime_schedulers.py``).
@@ -201,19 +209,16 @@ class TestWriteMany:
 
 class TestPlaneRoundtrip:
     def test_write_then_read_plane_vectors(self):
-        from repro.video import codec_tables as tables
-
         matrix = scaled_matrix(INTRA_BASE, 60)
         _, vectors = plane_to_vectors(frame(10) - 128.0, matrix, 8)
         writer = BitWriter()
         last_dc = write_plane_vectors(writer, vectors, 8, 0)
         assert last_dc == int(vectors[-1, 0])
         reader = BitReader(writer.getvalue())
-        back, _ = read_plane_vectors(
+        (back,) = read_plane_vectors(
             reader,
-            vectors.shape[0],
+            [vectors.shape[0]],
             8,
-            0,
             tables.default_ac_codec(8),
             tables.default_dc_codec(8),
             tables.eob_symbol(8),
@@ -235,6 +240,136 @@ class TestPlaneRoundtrip:
             assert np.array_equal(
                 batched[8 * y:8 * y + 8, 8 * x:8 * x + 8], block
             )
+
+
+@lru_cache(maxsize=2)
+def _holey_codecs(n):
+    """The default codecs minus a few short codes: canonical codes are
+    reassigned, and the freed patterns decode as invalid codes."""
+    ac = tables.default_ac_codec(n)
+    dc = tables.default_dc_codec(n)
+    drop_ac = {tables.pack_ac(0, 2), tables.pack_ac(1, 2)}
+    return (
+        HuffmanCodec(
+            {s: w for s, w in ac.lengths.items() if s not in drop_ac}
+        ),
+        HuffmanCodec({s: w for s, w in dc.lengths.items() if s != 2}),
+    )
+
+
+DAMAGE = ("none", "resplit", "truncate", "flip", "overrun", "invalid",
+          "more_blocks")
+
+
+@st.composite
+def damaged_plane_streams(draw):
+    """(bytes, plane_blocks, n, codecs) with one kind of damage."""
+    damage = draw(st.sampled_from(DAMAGE))
+    data, plane_blocks, n = draw(
+        plane_vector_streams(overrun=damage == "overrun")
+    )
+    codecs = None
+    if damage == "resplit":  # plane ends wherever, mid-chunk included
+        total = sum(plane_blocks)
+        cuts = sorted(draw(st.lists(st.integers(0, total), max_size=2)))
+        plane_blocks = list(np.diff([0, *cuts, total]))
+    elif damage == "truncate":
+        data = data[:draw(st.integers(0, max(0, len(data) - 1)))]
+    elif damage == "flip" and data:
+        out = bytearray(data)
+        for _ in range(draw(st.integers(1, 3))):
+            bit = draw(st.integers(0, len(data) * 8 - 1))
+            out[bit // 8] ^= 0x80 >> (bit % 8)
+        data = bytes(out)
+    elif damage == "invalid":
+        codecs = _holey_codecs(n)
+    elif damage == "more_blocks":
+        plane_blocks[-1] += draw(st.integers(1, 3))
+    return data, plane_blocks, n, codecs
+
+
+@given(case=damaged_plane_streams())
+def test_read_plane_vectors_error_parity(case):
+    """One frame-wide parse equals the per-plane reference (DC predictor
+    at 0 per plane): same vectors and reader position, or the same
+    exception type and message — on clean, truncated, bit-flipped,
+    overrunning, invalid-code and short streams alike."""
+    assert_equivalent(
+        plane_parse_outcome(*case, batched=False),
+        plane_parse_outcome(*case, batched=True),
+    )
+
+
+class TestPlaneParseErrors:
+    """The error paths the parity property must be able to reach."""
+
+    n = 8
+
+    def _stream(self, runs, eob=True):
+        return self._writer(runs, eob).getvalue()
+
+    def _writer(self, runs, eob=True):
+        writer = BitWriter()
+        ac = tables.default_ac_codec(self.n)
+        tables.default_dc_codec(self.n).encode_symbol(0, writer)
+        for run in runs:
+            ac.encode_symbol(tables.pack_ac(run, 1), writer)
+            tables.encode_magnitude(1, writer)
+        if eob:
+            ac.encode_symbol(tables.eob_symbol(self.n), writer)
+        return writer
+
+    def _both(self, data, plane_blocks, codecs=None):
+        ref = plane_parse_outcome(
+            data, plane_blocks, self.n, codecs, batched=False
+        )
+        fast = plane_parse_outcome(
+            data, plane_blocks, self.n, codecs, batched=True
+        )
+        assert_equivalent(ref, fast)
+        return fast
+
+    def test_overrun_then_end_of_buffer_raises_the_overrun(self):
+        # 66 dense 4-bit events: the 64th overruns, and the buffer ends
+        # (no EOB) before the scalar parse would ever need more bits.
+        outcome = self._both(self._stream([0] * 66, eob=False), [1])
+        assert outcome == (
+            ValueError, "corrupt stream: AC coefficients overrun block"
+        )
+
+    def test_overrun_in_an_event_cut_off_mid_magnitude(self):
+        # The run is checked before the magnitude is read: a level at
+        # position 64 whose magnitude runs off the buffer is an overrun.
+        writer = BitWriter()
+        tables.default_dc_codec(self.n).encode_symbol(0, writer)
+        tables.default_ac_codec(self.n).encode_symbol(
+            tables.pack_ac(63, 12), writer
+        )
+        outcome = self._both(writer.getvalue(), [1])
+        assert outcome == (
+            ValueError, "corrupt stream: AC coefficients overrun block"
+        )
+
+    def test_invalid_code(self):
+        # A zero DC category, then all ones: the top of a canonical code
+        # space is what an incomplete code leaves unassigned.
+        outcome = self._both(
+            b"\x7f" + b"\xff" * 4, [2], _holey_codecs(self.n)
+        )
+        assert outcome == (
+            ValueError, "invalid Huffman code in bitstream at bit offset 1"
+        )
+
+    def test_truncation_is_end_of_buffer(self):
+        outcome = self._both(self._stream([0] * 10)[:3], [1])
+        assert outcome == (EOFError, "bitstream exhausted")
+
+    def test_reader_stops_at_the_last_end_of_block(self):
+        block = self._stream([0, 0, 3])
+        # The last chunk runs on into the next block's events.
+        vectors, position = self._both(block * 4, [1])
+        assert position == len(self._writer([0, 0, 3]))
+        assert vectors[0][0, :7].tolist() == [0, 1, 1, 0, 0, 0, 1]
 
 
 class TestCodecEquivalence:

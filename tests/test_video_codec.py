@@ -154,6 +154,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EncoderConfig(gop_size=0)
 
+    @pytest.mark.parametrize("block_size", [0, 4, 16])
+    def test_unsupported_block_size_rejected(self, block_size):
+        # The intra quantization matrix is 8x8: other sizes used to pass
+        # here and fail later, mid-encode, on a shape mismatch.
+        with pytest.raises(ValueError, match="unsupported block size"):
+            EncoderConfig(block_size=block_size)
+
     def test_negative_search_range_rejected(self):
         with pytest.raises(ValueError, match="search range"):
             EncoderConfig(search_range=-1)
