@@ -51,6 +51,8 @@ def _check_allocation_args(
         raise ValueError("bit pool cannot be negative")
     if samples_per_band <= 0:
         raise ValueError("samples_per_band must be positive")
+    if np.isnan(smr).any():
+        raise ValueError("smr_db must not contain NaN")
 
 
 def allocate_bits_reference(
@@ -152,12 +154,13 @@ def allocate_bits(
             bits == 0, samples_per_band + side_bits_per_band, samples_per_band
         )
         affordable = (bits < max_bits) & (cost <= remaining)
-        if not np.any(affordable):
-            break
         # argmin takes the first minimum, matching the reference's
-        # (mnr, band-index) tie-break.
-        worst = int(np.argmin(np.where(affordable, mnr, np.inf)))
-        if mnr[worst] >= 12.0:
+        # (mnr, band-index) tie-break.  Test the masked value, not
+        # ``mnr[worst]``: when every affordable band sits at +inf MNR
+        # (SMR -inf) the argmin can land on an unaffordable band.
+        masked = np.where(affordable, mnr, np.inf)
+        worst = int(np.argmin(masked))
+        if masked[worst] >= 12.0:
             break
         remaining -= int(cost[worst])
         bits[worst] += 1
@@ -177,38 +180,69 @@ def allocate_bits_batch(
     side_bits_per_band: int = 0,
     max_bits: int = MAX_BITS,
 ) -> list[Allocation]:
-    """Greedy allocation for many frames in lockstep (experiment R7).
+    """Greedy allocation for many frames: a sorted prefix, then lockstep
+    (experiments R7 and R12).
 
     ``smr_db`` is ``(frames, bands)``; every frame shares the same bit
-    pool.  Each pass of the loop grants *every still-active frame* its
-    next bit — the per-frame decision sequence is exactly the reference
-    greedy order (frames are independent), so the result equals calling
-    :func:`allocate_bits_reference` per row, at a cost of one vectorized
-    pass per granted-bit *rank* instead of per (frame, granted bit) pair.
+    pool.  A band's MNR before its ``k+1``-th bit is ``SNR_PER_BIT * k -
+    smr``, a non-decreasing sequence in ``k``, and the greedy always
+    grants the lowest (MNR, band) among the bands' next candidates — a
+    k-way merge.  So until the pool binds, the grant order of a frame is
+    a stable sort of all its ``(band, k)`` candidate levels: the prefix
+    up to the first candidate that is already transparent (level >= 12)
+    or whose cumulative cost overruns the pool is exactly the greedy's
+    first grants.  Frames stopped by the pool below 12 dB finish in the
+    lockstep loop of R7, which grants every such frame its next bit per
+    pass.  The result equals calling :func:`allocate_bits_reference` per
+    row.
     """
     smr = np.asarray(smr_db, dtype=np.float64)
     if smr.ndim != 2:
         raise ValueError("smr_db must be a (frames, bands) array")
-    _check_allocation_args(smr[0] if smr.shape[0] else smr.reshape(-1),
-                           pool_bits, samples_per_band)
+    _check_allocation_args(smr.reshape(-1), pool_bits, samples_per_band)
 
     num_frames, num_bands = smr.shape
-    bits = np.zeros((num_frames, num_bands), dtype=np.int64)
-    mnr = 0.0 - smr
-    remaining = np.full(num_frames, pool_bits, dtype=np.int64)
-    active = np.ones(num_frames, dtype=bool)
+    depth = max(int(max_bits), 0)
+    # Candidate (band, k) levels, band-major, so a stable sort breaks
+    # level ties by band then by k — the greedy's argmin order.
+    levels = (
+        SNR_PER_BIT * np.arange(depth) - smr[:, :, None]
+    ).reshape(num_frames, num_bands * depth)
+    first_bit = np.arange(num_bands * depth) % max(depth, 1) == 0
+    candidate_cost = samples_per_band + side_bits_per_band * first_bit
     rows = np.arange(num_frames)
+    order = np.argsort(levels, axis=1, kind="stable")
+    stop = (levels[rows[:, None], order] >= 12.0) | (
+        np.cumsum(candidate_cost[order], axis=1) > pool_bits
+    )
+    # Prefix length per frame: the first stop, or every candidate.
+    granted = np.argmax(
+        np.concatenate([stop, np.ones((num_frames, 1), dtype=bool)], axis=1),
+        axis=1,
+    )
+    taken = np.zeros(levels.shape, dtype=bool)
+    taken[rows[:, None], order] = (
+        np.arange(levels.shape[1]) < granted[:, None]
+    )
+    bits = np.sum(
+        taken.reshape(num_frames, num_bands, depth), axis=2, dtype=np.int64
+    )
+    remaining = pool_bits - np.sum(
+        samples_per_band * bits + side_bits_per_band * (bits > 0), axis=1
+    )
+    mnr = SNR_PER_BIT * bits - smr
+    # Frames whose prefix stopped short of their last candidate re-enter
+    # the greedy from there: one stopped by a level >= 12 ends on the
+    # first pass, one stopped by cost may still afford a later bit.
+    active = granted < num_bands * depth
     while np.any(active):
         cost = np.where(
             bits == 0, samples_per_band + side_bits_per_band, samples_per_band
         )
         affordable = (bits < max_bits) & (cost <= remaining[:, None])
-        worst = np.argmin(np.where(affordable, mnr, np.inf), axis=1)
-        grant = (
-            active
-            & np.any(affordable, axis=1)
-            & (mnr[rows, worst] < 12.0)
-        )
+        masked = np.where(affordable, mnr, np.inf)
+        worst = np.argmin(masked, axis=1)
+        grant = active & (masked[rows, worst] < 12.0)
         active = grant
         if not np.any(grant):
             break

@@ -38,6 +38,13 @@ NOISE_OFFSET = 6.0
 #: changes no threshold at the rates the scenarios use.
 QUIET_CEILING_DB = 1000.0
 
+#: Masker terms per frame block in the batched threshold.  A whole
+#: 44.1 kHz stream in one block (171 frames x ~65 maskers x 257 bins)
+#: makes every elementwise temporary ~24 MB, and the passes over them run
+#: from main memory; 32k terms (256 KB) keep a voice-bridge call (10
+#: frames x ~40 maskers x 65 bins) in one block.
+_BLOCK_TERMS = 1 << 15
+
 
 def bark(frequency_hz: np.ndarray | float) -> np.ndarray | float:
     """Zwicker's critical-band (Bark) scale.
@@ -67,29 +74,21 @@ def threshold_in_quiet(frequency_hz: np.ndarray | float) -> np.ndarray | float:
     return float(tq) if np.isscalar(frequency_hz) else tq
 
 
-def _row_sums(rows: np.ndarray) -> np.ndarray:
-    """Deterministic per-row sums: sequential left-to-right accumulation.
-
-    ``np.sum(..., axis=1)`` picks its pairwise blocking from the *whole*
-    array shape, so a row's sum can differ in the last ULP between a
-    1-window and an N-window batch.  ``np.add.reduceat`` accumulates each
-    segment sequentially, making every row's sum a pure function of that
-    row — the property the scalar/batched bit-identity (experiment R7)
-    rests on.  Both the per-window and the batched model routes every
-    order-sensitive power sum through here.
-    """
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows[None, :]
-    num, width = rows.shape
-    if width == 0:
-        return np.zeros(num)
-    return np.add.reduceat(rows.reshape(-1), np.arange(num) * width)
-
-
 def _row_sum(values: np.ndarray) -> float:
-    """Scalar-path form of :func:`_row_sums` for one 1-D vector."""
-    return float(_row_sums(values)[0])
+    """Deterministic sum of one 1-D vector for the per-window model.
+
+    ``np.sum`` picks its pairwise blocking from the *whole* array shape,
+    so the same values can sum differently in the last ULP inside a
+    1-window and an N-window batch.  ``np.add.reduceat`` runs one inner
+    loop per segment that depends only on that segment's values, so the
+    batched model's ``np.add.reduceat(..., axis=1)`` over the same
+    contiguous bin runs reproduces every sum taken here bit-for-bit
+    (experiments R7 and R12).
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.size == 0:
+        return 0.0
+    return float(np.add.reduceat(values, [0])[0])
 
 
 def spreading_db(dz: np.ndarray) -> np.ndarray:
@@ -168,6 +167,23 @@ class PsychoacousticModel:
         self._freqs = np.fft.rfftfreq(self.fft_size, d=1.0 / self.sample_rate)
         self._bark = bark(self._freqs)
         self._quiet = threshold_in_quiet(self._freqs)
+        # Batched-path layout (experiment R12), derived once from the
+        # scalar path's own band definitions.  Integer Bark bands are
+        # contiguous bin runs because the Bark scale rises with frequency.
+        masks = self._bark_band_masks()
+        self._bark_starts = np.array([np.argmax(m) for m in masks])
+        bounds = np.append(self._bark_starts, self._freqs.size)
+        assert all(
+            np.array_equal(np.flatnonzero(m), np.arange(lo, hi))
+            for m, lo, hi in zip(masks, bounds[:-1], bounds[1:])
+        ), "integer Bark bands must be contiguous bin runs"
+        self._noise_floor = (
+            np.minimum.reduceat(self._quiet, self._bark_starts) - 20.0
+        )
+        self._quiet_power = 10.0 ** (self._quiet / 10.0)
+        self._band_starts = (
+            np.arange(self.num_bands) * (self._freqs.size // self.num_bands)
+        )
 
     def analyze(self, samples: np.ndarray) -> MaskingAnalysis:
         """Run the model on one window of PCM (padded/truncated to the FFT)."""
@@ -349,12 +365,18 @@ class PsychoacousticModel:
     def _global_threshold_batch(self, spectrum_db: np.ndarray) -> np.ndarray:
         """Vectorized maskers + threshold for a whole (F, bins) batch.
 
-        Mirrors ``_find_maskers`` + ``_global_threshold`` exactly: tonal
-        maskers accumulate in ascending-bin order, then noise maskers in
-        ascending-Bark-band order.  Frames with fewer maskers than the
-        batch maximum see padding terms of exactly zero power
-        (``10.0 ** -inf``), which leave the running sums bit-identical to
-        the scalar sequential accumulation.
+        Mirrors ``_find_maskers`` + ``_global_threshold`` exactly
+        (experiment R12).  Every masker's spread term is one slice of a
+        ``(frames, maskers, bins)`` array: the threshold in quiet first,
+        then tonal maskers in ascending-bin order, then noise maskers in
+        ascending-Bark-band order.  One ``np.add.reduce`` over that
+        middle axis sums them: NumPy's pairwise summation applies only
+        along the fastest-varying axis, so it adds the slices one at a
+        time in slot order, the scalar path's sequence (and the same bits
+        as ``np.add.accumulate`` at a fifth of the cost).  A frame with
+        fewer maskers than the batch sees padding terms of exactly zero
+        power (``10.0 ** -inf``), which leave the running sums unchanged.
+        Frames run in blocks of about :data:`_BLOCK_TERMS` terms.
         """
         s = spectrum_db
         num, bins = s.shape
@@ -375,69 +397,70 @@ class PsychoacousticModel:
             + power[frame_idx, bin_idx + 1]
         )
         counts = np.bincount(frame_idx, minlength=num)
-        max_tonal = int(counts.max()) if counts.size else 0
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        slot = np.arange(frame_idx.size) - starts[frame_idx]
-        tonal_level = np.full((num, max_tonal), -np.inf)
-        tonal_bark = np.zeros((num, max_tonal))
-        tonal_level[frame_idx, slot] = merged
-        tonal_bark[frame_idx, slot] = self._bark[bin_idx]
+        max_tonal = int(counts.max())
+        # Tonal slots are right-aligned: a frame's padding comes first and
+        # adds exact zeros to the threshold in quiet before any masker.
+        ends = np.cumsum(counts)
+        slot = np.arange(frame_idx.size) - ends[frame_idx] + max_tonal
+        num_noise = self._bark_starts.size
+        level = np.full((num, max_tonal + num_noise), -np.inf)
+        masker_bark = np.zeros((num, max_tonal + num_noise))
+        level[frame_idx, slot] = merged
+        masker_bark[frame_idx, slot] = self._bark[bin_idx]
 
-        # The flanking bins' energy belongs to the tone, not the residual.
-        tonal_bins = np.zeros((num, bins), dtype=bool)
-        for shift in (-1, 0, 1):
-            tonal_bins[frame_idx, bin_idx + shift] = True
-        residual = np.where(tonal_bins, 0.0, power)
-
-        threshold_power = np.broadcast_to(
-            10.0 ** (self._quiet / 10.0), (num, bins)
-        ).copy()
-        axis = self._bark[None, :]
-        for k in range(max_tonal):
-            contribution = (
-                tonal_level[:, k, None]
-                - TONAL_OFFSET
-                + spreading_db(axis - tonal_bark[:, k, None])
-            )
-            threshold_power = threshold_power + 10.0 ** (contribution / 10.0)
-
-        # Noise maskers: residual energy pooled per occupied Bark band.
-        for mask in self._bark_band_masks():
-            band_residual = residual[:, mask]
-            energy = _row_sums(band_residual)
-            quiet_floor = float(np.min(self._quiet[mask])) - 20.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                level = 10.0 * np.log10(energy)
-                centroid = (
-                    _row_sums(self._freqs[mask] * band_residual)
-                    / energy
+        # Noise maskers: residual energy pooled per occupied Bark band;
+        # the flanking bins' energy belongs to the tone, not the residual.
+        residual = power.copy()
+        residual[frame_idx[:, None], bin_idx[:, None] + np.arange(-1, 2)] = 0.0
+        energy = np.add.reduceat(residual, self._bark_starts, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            noise_level = 10.0 * np.log10(energy)
+            centroid = (
+                np.add.reduceat(
+                    self._freqs * residual, self._bark_starts, axis=1
                 )
-            selected = (energy > 0.0) & (level > quiet_floor)
-            level = np.where(selected, level, -np.inf)
-            masker_bark = np.where(
-                selected, bark(np.where(selected, centroid, 1.0)), 0.0
+                / energy
             )
-            contribution = (
-                level[:, None]
-                - NOISE_OFFSET
-                + spreading_db(axis - masker_bark[:, None])
+        selected = (energy > 0.0) & (noise_level > self._noise_floor)
+        level[:, max_tonal:] = np.where(selected, noise_level, -np.inf)
+        masker_bark[:, max_tonal:][selected] = bark(centroid[selected])
+
+        offset = np.where(
+            np.arange(max_tonal + num_noise) < max_tonal,
+            TONAL_OFFSET,
+            NOISE_OFFSET,
+        )
+        base = level - offset
+        threshold_power = np.empty((num, bins))
+        step = max(1, _BLOCK_TERMS // (base.shape[1] * bins))
+        for lo in range(0, num, step):
+            rows = slice(lo, lo + step)
+            # A block keeps only the tonal slots its own frames use.
+            cols = slice(max_tonal - int(counts[rows].max()), None)
+            contribution = base[rows, cols, None] + spreading_db(
+                self._bark - masker_bark[rows, cols, None]
             )
-            threshold_power = threshold_power + 10.0 ** (contribution / 10.0)
+            terms = np.concatenate(
+                [
+                    np.broadcast_to(
+                        self._quiet_power, (contribution.shape[0], 1, bins)
+                    ),
+                    10.0 ** (contribution / 10.0),
+                ],
+                axis=1,
+            )
+            threshold_power[rows] = np.add.reduce(terms, axis=1)
         return 10.0 * np.log10(threshold_power)
 
     def _band_smr_batch(
         self, spectrum_db: np.ndarray, threshold_db: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        num, bins = spectrum_db.shape
-        bins_per_band = bins // self.num_bands
-        level = np.empty((num, self.num_bands))
-        smr = np.empty((num, self.num_bands))
-        for b in range(self.num_bands):
-            lo = b * bins_per_band
-            hi = (b + 1) * bins_per_band if b < self.num_bands - 1 else bins
-            band_level = 10.0 * np.log10(
-                _row_sums(10.0 ** (spectrum_db[:, lo:hi] / 10.0))
+        level = 10.0 * np.log10(
+            np.add.reduceat(
+                10.0 ** (spectrum_db / 10.0), self._band_starts, axis=1
             )
-            level[:, b] = band_level
-            smr[:, b] = band_level - np.min(threshold_db[:, lo:hi], axis=1)
+        )
+        smr = level - np.minimum.reduceat(
+            threshold_db, self._band_starts, axis=1
+        )
         return level, smr

@@ -11,10 +11,12 @@ loops.  This module runs the whole chain at *segment* granularity:
   matmul per direction (:func:`repro.audio.filterbank._analyze_raw` /
   ``_synthesize_raw``, scalar loops kept as ``*_reference``);
 * the psychoacoustic model runs one batched ``np.fft.rfft`` over every
-  analysis window at once with vectorized masker/threshold/SMR math
+  analysis window at once, builds every masker's spread term as one
+  array and sums it over the masker axis in the scalar order
   (:meth:`repro.audio.psychoacoustic.PsychoacousticModel.analyze_batch`);
-* the greedy bit allocator advances every frame in lockstep with an
-  incremental MNR update (:func:`repro.audio.bitalloc.allocate_bits_batch`);
+* the greedy bit allocator grants each frame's sorted prefix of
+  candidate levels at once, then finishes frames the pool stopped early
+  in lockstep (:func:`repro.audio.bitalloc.allocate_bits_batch`);
 * frame packing assembles every fixed-width field of the segment —
   allocations, scalefactors, codes, ancillary bytes — as one ``(values,
   widths)`` pair flushed through ``BitWriter.write_many``

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
+from repro.audio.bitalloc import SNR_PER_BIT
 from repro.audio.encoder import AudioEncoderConfig
 from repro.net.channel import GilbertElliott, IIDLoss
 from repro.video.huffman import HuffmanCodec
@@ -201,12 +202,31 @@ def audio_encoder_configs() -> st.SearchStrategy[AudioEncoderConfig]:
 
 
 @st.composite
-def smr_arrays(draw, max_bands=48, max_rows=1):
-    """Per-band signal-to-mask ratios in dB (1-D, or stacked frames)."""
+def smr_arrays(draw, max_bands=48, max_rows=1, min_rows=1):
+    """Per-band signal-to-mask ratios in dB (1-D, or stacked frames).
+
+    Three families: ``uniform`` continuous SMRs; ``ties`` — a few
+    repeated values mixed with whole multiples of ``SNR_PER_BIT``, so
+    candidate MNR levels tie across bands and bit ranks and the
+    allocator's (MNR, band) tie-break decides; ``infinite`` — uniform
+    SMRs with some bands at ``+inf`` (never transparent) or ``-inf``
+    (never needing a bit).
+    """
     bands = draw(st.integers(2, max_bands))
-    rows = draw(st.integers(1, max_rows))
+    rows = draw(st.integers(min_rows, max_rows))
+    kind = draw(st.sampled_from(("uniform", "ties", "infinite")))
     rng = np.random.default_rng(draw(rng_seeds()))
     smr = rng.uniform(-30.0, 60.0, size=(rows, bands))
+    if kind == "ties":
+        pool = np.concatenate([
+            rng.uniform(-30.0, 60.0, size=3),
+            SNR_PER_BIT * np.arange(-3, 10),
+        ])
+        smr = rng.choice(pool, size=(rows, bands))
+    elif kind == "infinite":
+        pick = rng.random(size=(rows, bands))
+        smr[pick < 0.15] = np.inf
+        smr[pick > 0.85] = -np.inf
     return smr[0] if max_rows == 1 else smr
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from repro.audio.bitalloc import (
+    SNR_PER_BIT,
     allocate_bits,
     allocate_bits_batch,
     allocate_bits_reference,
@@ -207,11 +208,27 @@ def _synthesis_cases(draw):
 
 @st.composite
 def _bitalloc_cases(draw):
-    smr = draw(domains.smr_arrays(max_bands=48))
-    pool = draw(st.integers(0, 4000))
+    """Multi-row (possibly empty) SMR batches and allocator settings.
+
+    ``side`` ranges past ``samples``, so a first bit can cost more than
+    two later ones and the batch form's lockstep continuation runs more
+    than one pass.  Half the non-empty cases draw the pool below what the
+    first row would spend with an unlimited pool (every candidate level
+    under 12 dB), so the pool runs out inside the sorted prefix.
+    """
+    smr = draw(domains.smr_arrays(max_bands=48, max_rows=6, min_rows=0))
     samples = draw(st.integers(4, 16))
-    side = draw(st.integers(0, 8))
-    max_bits = draw(st.sampled_from((4, 8, 15)))
+    side = draw(st.integers(0, 24))
+    max_bits = draw(st.sampled_from((0, 1, 4, 8, 15)))
+    if smr.shape[0] and draw(st.booleans()):
+        below = np.sum(
+            SNR_PER_BIT * np.arange(max_bits) - smr[0][:, None] < 12.0,
+            axis=1,
+        )
+        unlimited = int(np.sum(samples * below + side * (below > 0)))
+        pool = draw(st.integers(0, max(unlimited - 1, 0)))
+    else:
+        pool = draw(st.integers(0, 4000))
     return smr, pool, samples, side, max_bits
 
 
@@ -504,20 +521,35 @@ def _jpeg_encode(batched: bool):
     return run
 
 
+def _with_mnr_bytes(alloc):
+    """An allocation plus its MNR bytes (``array_equal`` lets -0.0 pass
+    for 0.0; the bytes do not)."""
+    return alloc, alloc.mnr_db.tobytes()
+
+
 def _bitalloc_reference(case):
     smr, pool, samples, side, max_bits = case
-    alloc = allocate_bits_reference(smr, pool, samples, side, max_bits)
-    return alloc, alloc
+    rows = [
+        _with_mnr_bytes(
+            allocate_bits_reference(row, pool, samples, side, max_bits)
+        )
+        for row in smr
+    ]
+    return rows, rows
 
 
 def _bitalloc_batched(case):
-    """The incremental rewrite AND the lockstep batch form, together."""
+    """The incremental rewrite per row AND the batch form on all rows."""
     smr, pool, samples, side, max_bits = case
-    incremental = allocate_bits(smr, pool, samples, side, max_bits)
-    (batch_row,) = allocate_bits_batch(
-        smr[None, :], pool, samples, side, max_bits
-    )
-    return incremental, batch_row
+    incremental = [
+        _with_mnr_bytes(allocate_bits(row, pool, samples, side, max_bits))
+        for row in smr
+    ]
+    batch = [
+        _with_mnr_bytes(alloc)
+        for alloc in allocate_bits_batch(smr, pool, samples, side, max_bits)
+    ]
+    return incremental, batch
 
 
 def _filterbank(kernel):

@@ -136,18 +136,55 @@ class TestPsychoacousticBatch:
             assert np.array_equal(batch.band_level_db[f], ref.band_level_db)
             assert masked[f] == ref.masked_fraction()
 
-    def test_small_model(self):
-        model = PsychoacousticModel(
-            sample_rate=8000.0, fft_size=64, num_bands=8
+    @pytest.mark.parametrize(
+        "sample_rate, fft_size, num_bands",
+        [
+            (8000.0, 64, 8),
+            # The bridge scenario's geometries: 33 and 65 bins over 32
+            # subbands, so the last subband is wider than the rest.
+            (8000.0, 64, 32),
+            (16000.0, 128, 32),
+        ],
+    )
+    def test_geometries_match_per_window_analysis(
+        self, sample_rate, fft_size, num_bands
+    ):
+        model = PsychoacousticModel(sample_rate, fft_size, num_bands)
+        t = np.arange(fft_size)
+        # Bin-centred tones 4 bins apart: every one is a tonal masker.
+        comb = range(2, fft_size // 2 - 1, 4)
+        dense = sum(
+            (0.05 + 0.02 * i) * np.sin(2 * np.pi * b * t / fft_size + b)
+            for i, b in enumerate(comb)
         )
-        windows = frame_windows(speech_like(duration=0.2, seed=4), 96, 64)
+        two_tones = 0.4 * np.sin(2 * np.pi * 5 * t / fft_size) + 0.1 * np.sin(
+            2 * np.pi * 13 * t / fft_size
+        )
+        speech = speech_like(duration=0.2, seed=4, sample_rate=sample_rate)
+        windows = np.vstack([
+            dense,
+            np.zeros(fft_size),
+            two_tones,
+            np.random.default_rng(3).normal(0, 0.2, fft_size),
+            frame_windows(speech, fft_size * 3 // 2, fft_size),
+        ])
+        refs = [model.analyze(w) for w in windows]
+        tonal_counts = [sum(m.tonal for m in r.maskers) for r in refs]
+        assert tonal_counts[0] >= 8 and tonal_counts[1] == 0
+        assert len({len(r.maskers) for r in refs}) > 2
+
         batch = model.analyze_batch(windows)
-        for f in range(windows.shape[0]):
-            ref = model.analyze(windows[f])
-            assert np.array_equal(
-                batch.global_threshold_db[f], ref.global_threshold_db
-            )
-            assert np.array_equal(batch.band_smr_db[f], ref.band_smr_db)
+        masked = batch.masked_fraction()
+        for f, ref in enumerate(refs):
+            for field in (
+                "spectrum_db", "global_threshold_db",
+                "band_smr_db", "band_level_db",
+            ):
+                assert (
+                    getattr(batch, field)[f].tobytes()
+                    == getattr(ref, field).tobytes()
+                ), (f, field)
+            assert masked[f] == ref.masked_fraction()
 
     def test_empty_batch(self):
         model = PsychoacousticModel()
@@ -197,6 +234,34 @@ class TestAllocatorEquivalence:
                 fn(np.zeros(4), 10, 0)
         with pytest.raises(ValueError):
             allocate_bits_batch(np.zeros(4), 10, 12)
+
+    def test_nan_smr_rejected_by_every_allocator(self):
+        # Unchecked, a NaN band split the three: [4, 0, 6] from the
+        # reference, [4, 15, 6] incremental, [0, 0, 0] batched.
+        smr = np.array([10.0, np.nan, 20.0])
+        for fn in (allocate_bits_reference, allocate_bits):
+            with pytest.raises(ValueError, match="NaN"):
+                fn(smr, 400, 12, 6)
+        # The batch form checks every row, not just the first.
+        for batch in (smr[None, :], np.vstack([[10.0, 15.0, 20.0], smr])):
+            with pytest.raises(ValueError, match="NaN"):
+                allocate_bits_batch(batch, 400, 12, 6)
+
+    @pytest.mark.parametrize("first_smr", [np.inf, 50.0])
+    def test_plus_inf_mnr_band_never_unlocks_a_full_band(self, first_smr):
+        # Band 1 (SMR -inf) is affordable but never needs a bit; band 0
+        # is at max_bits with MNR below 12 dB.  The masked argmin over
+        # an all-inf row lands on band 0, which must not be granted.
+        smr = np.array([first_smr, -np.inf])
+        ref = allocate_bits_reference(smr, 100, 5, 0, 2)
+        assert ref.bits.tolist() == [2, 0]
+        for got in (
+            allocate_bits(smr, 100, 5, 0, 2),
+            allocate_bits_batch(smr[None, :], 100, 5, 0, 2)[0],
+        ):
+            assert np.array_equal(got.bits, ref.bits)
+            assert got.mnr_db.tobytes() == ref.mnr_db.tobytes()
+            assert got.spent_bits == ref.spent_bits
 
 
 @settings(max_examples=25, deadline=None)
