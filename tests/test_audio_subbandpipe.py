@@ -7,7 +7,6 @@ registered runtime scenario (digest comparison over whole engine
 workloads), mirroring the R6 pins in ``tests/test_video_blockpipe.py``.
 """
 
-import hashlib
 from functools import partial
 
 import numpy as np
@@ -46,20 +45,7 @@ from repro.workloads.audio_gen import (
     tone,
 )
 
-#: Smallest viable parameterisation per registered scenario (mirrors the
-#: R6 sweep in ``tests/test_video_blockpipe.py``).
-SMALL = {
-    "quickstart": {"frames": 8},
-    "videoconferencing": {"frames": 8},
-    "set_top_box": {"frames": 8},
-    "dvr": {"frames": 8},
-    "surveillance": {"cameras": 2, "frames": 8},
-    "video_wall": {"tiles": 2, "frames": 8},
-    "transcode_farm": {"workers": 2, "clips": 1, "frames": 16},
-    "portable_player": {},
-    "podcast_farm": {"workers": 2, "episodes": 1},
-    "conference_bridge": {"narrowband": 1, "wideband": 1},
-}
+from strategies.scenario_pin import scenario_digests
 
 
 def frame_windows(x, samples_per_frame, fft):
@@ -446,17 +432,6 @@ class TestCodecEquivalence:
         assert AudioEncoder()._bank.batched is True
 
 
-def _scenario_digests(scenario, overrides):
-    """Run every session of a scenario to completion; digest its outputs."""
-    digests = {}
-    for session in scenario.sessions(**overrides):
-        session.run_to_completion()
-        digests[session.name] = hashlib.sha256(
-            session.output_bytes()
-        ).hexdigest()
-    return digests
-
-
 @pytest.mark.parametrize(
     "scenario_name", sorted(s.name for s in REGISTRY)
 )
@@ -468,13 +443,10 @@ def test_batched_pipeline_bit_identical_on_every_scenario(
     stays batched on both runs, so any drift is audio's).  The scalar run
     rebinds the audio codec names the runtime constructs from to
     ``batched=False`` factories."""
-    scenario = REGISTRY.get(scenario_name)
-    overrides = SMALL.get(scenario_name, {})
-    fast = _scenario_digests(scenario, overrides)
+    fast = scenario_digests(scenario_name)
     for target, codec in (
         ("repro.runtime.session.AudioEncoder", AudioEncoder),
         ("repro.runtime.session.AudioDecoder", AudioDecoder),
     ):
         monkeypatch.setattr(target, partial(codec, batched=False))
-    ref = _scenario_digests(scenario, overrides)
-    assert fast == ref
+    assert scenario_digests(scenario_name) == fast

@@ -67,21 +67,7 @@ from repro.video.encoder import EncoderConfig, VideoEncoder
 from repro.workloads.audio_gen import music_like
 from repro.workloads.video_gen import moving_blocks_sequence
 
-#: Smallest viable parameterisation per scenario for the e2e sweeps.
-SMALL = {
-    "quickstart": {"frames": 8},
-    "videoconferencing": {"frames": 8},
-    "set_top_box": {"frames": 8},
-    "dvr": {"frames": 8},
-    "surveillance": {"cameras": 2, "frames": 8},
-    "video_wall": {"tiles": 2, "frames": 8},
-    "transcode_farm": {"workers": 2, "clips": 1, "frames": 8},
-    "portable_player": {},
-    "podcast_farm": {"workers": 2, "episodes": 1},
-    "conference_bridge": {"narrowband": 1, "wideband": 1},
-    "wireless_surveillance": {"cameras": 2, "frames": 8},
-    "lossy_wan_transcode": {"workers": 2, "clips": 1, "frames": 8},
-}
+from strategies.scenario_pin import small_sessions
 
 
 def _random_bytes(rng, n):
@@ -627,8 +613,7 @@ class TestAudioConcealment:
 
 def _lossy_report(scenario_name, kind, fec=0, seed=0, mtu=256,
                   interleave=1, loss=0.05):
-    scenario = REGISTRY.get(scenario_name)
-    sessions = scenario.sessions(**SMALL.get(scenario_name, {}))
+    sessions = small_sessions(scenario_name)
     attach_delivery(
         sessions, kind=kind, loss_rate=loss, fec_group=fec, mtu=mtu,
         interleave_depth=interleave, seed=seed,

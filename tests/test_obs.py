@@ -53,6 +53,8 @@ from repro.runtime import (
 from repro.runtime.run import main as cli_main
 from repro.runtime.scenarios import REGISTRY
 
+from strategies.scenario_pin import platform_for
+
 #: Absolute slack for float comparisons on virtual timestamps (spans
 #: are built from cumulative float sums; boundaries can wobble an ulp).
 TOL = 1e-9
@@ -408,7 +410,7 @@ class TestPlatformTracing:
     def traced_farm(self):
         scenario = REGISTRY.get("transcode_farm")
         sessions = scenario.sessions(workers=2, clips=1, frames=8)
-        platform = _device_platform(scenario)
+        platform = platform_for(scenario)
         recorder = TraceRecorder()
         engine = StreamEngine(
             sessions,
@@ -445,12 +447,6 @@ class TestPlatformTracing:
         assert_well_nested(recorder)
 
 
-def _device_platform(scenario):
-    from repro.runtime.run import _device_platform as impl
-
-    return impl(scenario)
-
-
 # --------------------------------------------------- trace determinism
 
 
@@ -462,7 +458,7 @@ def _scenario_trace(scenario_name, params, sched_name):
         sessions,
         cache=SegmentCache(64),
         scheduler=make_scheduler(
-            sched_name, platform=_device_platform(scenario)
+            sched_name, platform=platform_for(scenario)
         ),
         trace=recorder,
         clock=ManualClock(),  # elapsed_s pinned too

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from repro.core import EXTENDED_SCENARIOS, RUNTIME_CONTRACTS
+from repro.core import RUNTIME_CONTRACTS
 from repro.mapping import MappedTrace, segment_cost
 from repro.mpsoc import admission_test, symmetric_multicore
 from repro.runtime import (
@@ -32,20 +32,7 @@ from repro.runtime import (
 from repro.runtime.run import main as cli_main
 from repro.runtime.scenarios import REGISTRY
 
-#: Smallest viable parameterisation per scenario, shared by the
-#: determinism sweep (keeps 8 scenarios x 4 schedulers affordable).
-SMALL = {
-    "quickstart": {"frames": 8},
-    "videoconferencing": {"frames": 8},
-    "set_top_box": {"frames": 8},
-    "dvr": {"frames": 8},
-    "surveillance": {"cameras": 2, "frames": 8},
-    "video_wall": {"tiles": 2, "frames": 8},
-    "transcode_farm": {"workers": 2, "clips": 1, "frames": 8},
-    "portable_player": {},
-    "podcast_farm": {"workers": 2, "episodes": 1},
-    "conference_bridge": {"narrowband": 1, "wideband": 1},
-}
+from strategies.scenario_pin import platform_for, small_sessions
 
 
 class StubSession(MediaSession):
@@ -97,21 +84,12 @@ class StubSession(MediaSession):
         )
 
 
-def _platform_for(scenario):
-    if scenario.device:
-        from repro.core import ALL_SCENARIOS
-
-        factories = {**ALL_SCENARIOS, **EXTENDED_SCENARIOS}
-        return factories[scenario.device]().platform
-    return symmetric_multicore(4)
-
-
 @pytest.fixture(scope="module")
 def sequential_outputs():
     """Per-scenario baseline: every session run alone, uncached."""
     out = {}
     for scenario in REGISTRY:
-        sessions = scenario.sessions(**SMALL.get(scenario.name, {}))
+        sessions = small_sessions(scenario.name)
         out[scenario.name] = {
             s.name: s.run_to_completion(None).output_bytes()
             for s in sessions
@@ -125,10 +103,9 @@ class TestSchedulingNeverChangesOutput:
     def test_bit_identical_on_every_scenario(
         self, scenario_name, sched_name, sequential_outputs
     ):
-        scenario = REGISTRY.get(scenario_name)
-        sessions = scenario.sessions(**SMALL.get(scenario_name, {}))
+        sessions = small_sessions(scenario_name)
         scheduler = make_scheduler(
-            sched_name, platform=_platform_for(scenario)
+            sched_name, platform=platform_for(REGISTRY.get(scenario_name))
         )
         engine = StreamEngine(
             sessions, cache=SegmentCache(64), scheduler=scheduler
@@ -255,7 +232,7 @@ class TestPlatformMapped:
     def test_pe_busy_matches_segment_cost_traces(self):
         scenario = REGISTRY.get("surveillance")
         sessions = scenario.sessions(cameras=3, unique_feeds=2, frames=8)
-        platform = _platform_for(scenario)
+        platform = platform_for(scenario)
         scheduler = PlatformMapped(platform)
         report = StreamEngine(
             sessions, cache=SegmentCache(64), scheduler=scheduler

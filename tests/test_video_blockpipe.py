@@ -7,7 +7,6 @@ scenario (digest comparison over whole engine workloads).
 """
 
 import ast
-import hashlib
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -56,21 +55,7 @@ from strategies.registry import (
     plane_parse_outcome,
     plane_vector_streams,
 )
-
-#: Smallest viable parameterisation per registered scenario (mirrors the
-#: scheduler determinism sweep in ``tests/test_runtime_schedulers.py``).
-SMALL = {
-    "quickstart": {"frames": 8},
-    "videoconferencing": {"frames": 8},
-    "set_top_box": {"frames": 8},
-    "dvr": {"frames": 8},
-    "surveillance": {"cameras": 2, "frames": 8},
-    "video_wall": {"tiles": 2, "frames": 8},
-    "transcode_farm": {"workers": 2, "clips": 1, "frames": 16},
-    "portable_player": {},
-    "podcast_farm": {"workers": 2, "episodes": 1},
-    "conference_bridge": {"narrowband": 1, "wideband": 1},
-}
+from strategies.scenario_pin import scenario_digests
 
 
 def frame(seed=0, shape=(48, 64)):
@@ -452,19 +437,6 @@ def test_codec_packages_rebind_no_globals(package):
     assert rebinds == []
 
 
-def _scenario_digests(scenario, overrides):
-    """Run every session of a scenario to completion; digest its outputs."""
-    digests = {}
-    for session in scenario.sessions(**overrides):
-        session.run_to_completion()
-        h = hashlib.sha256(session.output_bytes())
-        for seg in session.segments:
-            for luma in seg.extras.get("luma", []):
-                h.update(np.ascontiguousarray(luma).tobytes())
-        digests[session.name] = h.hexdigest()
-    return digests
-
-
 @pytest.mark.parametrize(
     "scenario_name", sorted(s.name for s in REGISTRY)
 )
@@ -475,14 +447,11 @@ def test_batched_pipeline_bit_identical_on_every_scenario(
     every registered scenario (encode, decode, transcode, and analysis
     sessions alike).  The scalar run rebinds the codec names the runtime
     constructs from to ``batched=False`` factories."""
-    scenario = REGISTRY.get(scenario_name)
-    overrides = SMALL.get(scenario_name, {})
-    fast = _scenario_digests(scenario, overrides)
+    fast = scenario_digests(scenario_name)
     for target, codec in (
         ("repro.runtime.session.VideoEncoder", VideoEncoder),
         ("repro.runtime.session.VideoDecoder", VideoDecoder),
         ("repro.runtime.scenarios.VideoEncoder", VideoEncoder),
     ):
         monkeypatch.setattr(target, partial(codec, batched=False))
-    ref = _scenario_digests(scenario, overrides)
-    assert fast == ref
+    assert scenario_digests(scenario_name) == fast
