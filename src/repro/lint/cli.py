@@ -10,10 +10,8 @@ Modes:
 * ``--format=github``: one ``::error file=...,line=...`` workflow
   annotation per finding, so findings land on the PR diff in CI.
 
-The interprocedural analysis caches per-module facts (keyed by file
-content hash) under ``<root>/.lint_cache`` so warm runs only re-analyze
-changed modules; ``--no-cache`` forces a cold run and ``--cache-dir``
-relocates the cache.  Findings are byte-identical either way.
+Linting reads the tree and writes nothing: every run analyzes every
+module from scratch.
 
 The project root is auto-detected by walking up from the current
 directory to the first ``pyproject.toml``; override with ``--root``.
@@ -25,8 +23,6 @@ import argparse
 import json
 from pathlib import Path
 
-from .analysis import FactsCache
-from .analysis.cache import DEFAULT_CACHE_DIRNAME
 from .core import run_lint
 from .findings import Finding
 from .rules import ALL_CHECKERS
@@ -67,15 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         "::error annotations (default: text)",
     )
     parser.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the on-disk analysis cache (always analyze cold)",
-    )
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None,
-        help=f"analysis cache directory "
-        f"(default: <root>/{DEFAULT_CACHE_DIRNAME})",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"
     )
     return parser
@@ -111,16 +98,7 @@ def main(argv: list[str] | None = None) -> int:
 
     root = (args.root or find_root()).resolve()
 
-    cache = None
-    if not args.no_cache:
-        cache_dir = args.cache_dir or root / DEFAULT_CACHE_DIRNAME
-        if not cache_dir.is_absolute():
-            cache_dir = root / cache_dir
-        cache = FactsCache(str(cache_dir))
-
-    findings = run_lint(root, paths=args.paths or None, cache=cache)
-    if cache is not None:
-        cache.save()
+    findings = run_lint(root, paths=args.paths or None)
     clean = not findings
 
     if args.json:
@@ -130,11 +108,6 @@ def main(argv: list[str] | None = None) -> int:
                     "root": str(root),
                     "findings": [f.to_dict() for f in findings],
                     "clean": clean,
-                    "cache": (
-                        None
-                        if cache is None
-                        else {"hits": cache.hits, "misses": cache.misses}
-                    ),
                 },
                 indent=2,
             )

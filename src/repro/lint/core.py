@@ -187,15 +187,12 @@ def parse_module(path: Path, root: Path) -> ModuleContext | Finding:
 def build_project(
     root: Path,
     paths: Iterable[str] | None = None,
-    cache: "FactsCache | None" = None,
 ) -> tuple[Project, list[Finding]]:
     """Parse the tree once; returns the project + any parse-error findings.
 
     The interprocedural analysis is built over whatever was parsed (a
     partial ``paths`` selection gives a partial call graph — calls into
-    unparsed modules simply don't resolve).  ``cache`` is an optional
-    :class:`~repro.lint.analysis.cache.FactsCache`: unchanged files skip
-    fact extraction; findings are identical either way.
+    unparsed modules simply don't resolve).
     """
     from .analysis.project import build_analysis
 
@@ -207,7 +204,7 @@ def build_project(
             parse_failures.append(parsed)
         else:
             project.modules.append(parsed)
-    project.analysis = build_analysis(project.modules, cache)
+    project.analysis = build_analysis(project.modules)
     return project, parse_failures
 
 
@@ -225,12 +222,11 @@ def run_lint(
     root: Path,
     paths: Iterable[str] | None = None,
     checkers: Iterable[Checker] | None = None,
-    cache: "FactsCache | None" = None,
 ) -> list[Finding]:
     """Full pipeline: discover, parse, run every (or the given) rule."""
     from .rules import default_checkers
 
-    project, findings = build_project(root, paths, cache=cache)
+    project, findings = build_project(root, paths)
     findings.extend(
         run_checkers(
             project,

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint import ALL_CHECKERS, run_lint
-from repro.lint.cli import main
+from repro.lint.cli import build_parser, main
 from repro.lint.findings import Finding
 from repro.lint.rules.determinism import DeterminismChecker
 from repro.lint.rules.exceptions import ExceptionHygieneChecker
@@ -466,7 +466,7 @@ class TestCli:
         self.materialize(tmp_path, CLEAN_TREE)
         assert main(["--root", str(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"root", "findings", "clean", "cache"}
+        assert set(payload) == {"root", "findings", "clean"}
         assert payload["clean"] is True and payload["findings"] == []
 
     @pytest.mark.parametrize("rule, relpath, source", FINDING_PER_RULE)
@@ -489,6 +489,28 @@ class TestCli:
             main(["--root", str(tmp_path), "--check", *flags])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_cache_options_are_gone(self, tmp_path, capsys):
+        # No option string mentions a cache, so neither the old
+        # directory option nor any abbreviation of one parses.
+        options = build_parser()._option_string_actions
+        assert [o for o in options if "cache" in o] == []
+        self.materialize(tmp_path, CLEAN_TREE)
+        with pytest.raises(SystemExit) as exc:
+            main(["--root", str(tmp_path), "--check", "--no-cache"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_lint_writes_nothing_under_the_root(self, tmp_path, capsys):
+        self.materialize(tmp_path, CLEAN_TREE)
+        (tmp_path / "src/repro/video/bad.py").write_text(
+            "import numpy as np\nnp.random.seed(0)\n"
+        )
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["--root", str(tmp_path), "--check"]) == 1
+        assert main(["--root", str(tmp_path), "--json"]) == 1
+        capsys.readouterr()
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_package_has_no_baseline_module(self):
         assert importlib.util.find_spec("repro.lint.baseline") is None
@@ -513,18 +535,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "::error file=src/repro/video/bad.py,line=2," in out
         assert "title=rng-discipline::" in out
-
-    def test_cache_roundtrip_preserves_findings(self, tmp_path, capsys):
-        self.materialize(tmp_path, CLEAN_TREE)
-        (tmp_path / "src/repro/video/bad.py").write_text(
-            "import numpy as np\nnp.random.seed(0)\n"
-        )
-        assert main(["--root", str(tmp_path), "--json"]) == 1
-        cold = json.loads(capsys.readouterr().out)
-        assert main(["--root", str(tmp_path), "--json"]) == 1
-        warm = json.loads(capsys.readouterr().out)
-        assert warm["findings"] == cold["findings"]
-        assert warm["cache"]["misses"] == 0 and warm["cache"]["hits"] > 0
 
 
 # ------------------------------------------------------------ self-check
@@ -553,19 +563,7 @@ class TestCommittedTree:
         assert "lint clean" in result.stdout
 
     def test_json_report_is_clean(self):
-        result = self._invoke("--json", "--no-cache")
+        result = self._invoke("--json")
         assert result.returncode == 0, result.stdout + result.stderr
         payload = json.loads(result.stdout)
         assert payload["clean"] is True and payload["findings"] == []
-
-    def test_warm_cache_output_is_byte_identical(self, tmp_path):
-        cache_dir = str(tmp_path / "lint_cache")
-        cold = self._invoke("--check", "--no-cache", "--format=github")
-        first = self._invoke("--check", "--cache-dir", cache_dir,
-                             "--format=github")
-        warm = self._invoke("--check", "--cache-dir", cache_dir,
-                            "--format=github")
-        assert cold.returncode == first.returncode == warm.returncode == 0, (
-            cold.stdout + first.stdout + warm.stdout
-        )
-        assert cold.stdout == first.stdout == warm.stdout
