@@ -1,14 +1,12 @@
 """Metrics registry: explicit counters, gauges, and histograms.
 
-The engine report used to be a pile of ad-hoc fields; every new
-subsystem (cache, delivery, admission) grew its own aggregation code.
-The registry replaces that with one explicitly-registered namespace:
-:class:`~repro.runtime.engine.StreamEngine` fills a registry per run
-(cache hits/evictions and per-class ops saved, FEC recoveries and loss,
-deadline-slack distribution, per-PE busy time, per-stage op totals) and
-:class:`~repro.runtime.engine.EngineReport` carries it — ``to_dict()``
-exposes it under ``"metrics"`` and the CLI dumps it via
-``--metrics-json``.
+:class:`~repro.runtime.engine.StreamEngine` fills one registry per run
+with what its :class:`~repro.runtime.engine.EngineReport` fields do not
+hold: the per-segment latency, virtual service-time and deadline-slack
+distributions.  The run's totals (steps, cache, delivery, stage ops,
+PE utilization) stay in the report's fields, so each number has one
+source.  ``EngineReport.to_dict()`` exposes the registry under
+``"metrics"`` and the CLI dumps it via ``--metrics-json``.
 
 Three instrument kinds, Prometheus-shaped but in-process and
 deterministic:
@@ -21,7 +19,7 @@ deterministic:
 
 Registration is explicit and duplicate names are an error, so a typo'd
 metric name fails fast instead of silently splitting a series.  Names
-are dotted paths (``cache.hits``, ``delivery.packets_lost``); everything
+are dotted paths (``session.latency_s``, ``deadline.slack_s``); everything
 renders/serializes in sorted-name order so output is reproducible.
 """
 

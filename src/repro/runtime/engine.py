@@ -151,9 +151,8 @@ class EngineReport:
     #: when no session carried a delivery pipe.
     delivery: dict | None = None
     #: The run's metric registry (:class:`repro.obs.MetricsRegistry`):
-    #: cache counters, delivery counters, deadline-slack histograms,
-    #: per-PE busy gauges, per-stage op totals.  The canonical queryable
-    #: form of everything this report renders.
+    #: the per-segment latency, service-time and deadline-slack
+    #: histograms, the distributions the fields above do not keep.
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     @property
@@ -592,41 +591,12 @@ class StreamEngine:
             )
 
     def _fill_metrics(self, report: EngineReport) -> None:
-        """Populate the run's metric registry from the finished report.
-
-        One explicit registration per series — cache behaviour, the
-        delivery scorecard, deadline-slack distribution, per-PE busy
-        time, per-stage op totals — so ``EngineReport.metrics`` is the
-        queryable superset of what ``render()`` prints."""
+        """Register the per-segment distributions the report does not
+        hold: completion latency, virtual service time, and deadline
+        slack of rated segments.  Every total (steps, frames, bits,
+        cache, delivery, stage ops, PE busy) lives in the report's own
+        fields only."""
         m = report.metrics
-        m.counter("engine.steps", "segments executed").inc(report.steps)
-        m.counter("engine.frames", "frames produced").inc(report.total_frames)
-        m.counter("engine.bits", "coded bits produced").inc(report.total_bits)
-        m.gauge(
-            "engine.virtual_makespan_s", "virtual end-to-end time"
-        ).set(report.virtual_makespan_s)
-        m.gauge("engine.elapsed_s", "wall-clock run time").set(report.elapsed_s)
-        m.counter(
-            "engine.deadline_misses", "rated segments past deadline"
-        ).inc(report.total_deadline_misses)
-        m.counter("engine.deadlines", "rated segments").inc(
-            report.total_deadlines
-        )
-        cache = report.cache
-        m.counter("cache.hits", "segment cache hits").inc(cache.hits)
-        m.counter("cache.misses", "segment cache misses").inc(cache.misses)
-        m.counter("cache.evictions", "segment cache evictions").inc(
-            cache.evictions
-        )
-        m.gauge("cache.hit_rate", "hits / lookups").set(cache.hit_rate)
-        for cls in sorted(cache.ops_saved):
-            m.counter(
-                f"cache.ops_saved.{cls}", "ops skipped by cache hits"
-            ).inc(cache.ops_saved[cls])
-        for cls in sorted(report.stage_totals):
-            m.counter(f"stage_ops.{cls}", "measured ops by class").inc(
-                report.stage_totals[cls]
-            )
         latency = m.histogram(
             "session.latency_s", "per-segment completion latency"
         )
@@ -642,32 +612,6 @@ class StreamEngine:
                 busy.observe(timing.finish - timing.start)
                 if not math.isinf(timing.deadline):
                     slack.observe(timing.deadline - timing.finish)
-        if report.delivery is not None:
-            d = report.delivery
-            for key in (
-                "packets_sent", "packets_lost", "packets_late",
-                "packets_duplicate", "bytes_on_wire", "concealed_frames",
-            ):
-                m.counter(f"delivery.{key}", "run-level transport total").inc(
-                    d[key]
-                )
-            m.counter(
-                "delivery.fec_recoveries", "packets rebuilt from parity"
-            ).inc(d["packets_recovered"])
-            m.gauge("delivery.loss_pct", "marginal packet loss").set(
-                d["loss_pct"]
-            )
-            m.gauge(
-                "delivery.virtual_cost_s", "virtual time spent delivering"
-            ).set(d["virtual_cost_s"])
-            if d["psnr_under_loss_db"] is not None:
-                m.gauge(
-                    "delivery.psnr_under_loss_db", "damage-weighted PSNR"
-                ).set(d["psnr_under_loss_db"])
-        for pe in sorted(report.pe_utilization):
-            m.gauge(f"pe.{pe}.utilization", "busy share of makespan").set(
-                report.pe_utilization[pe]
-            )
 
 
 def _running_totals(values) -> list[float]:

@@ -39,7 +39,8 @@ run with a :class:`repro.obs.TraceRecorder` and writes a Chrome
 trace-event JSON timeline (open it in https://ui.perfetto.dev — one lane
 per session, per platform PE, per network link); ``--trace-jsonl FILE``
 writes the same events as flat JSONL; ``--metrics-json FILE`` dumps the
-run's metric registry; ``--quiet`` suppresses the human-readable report
+run's metric registry (per-segment latency, service-time and
+deadline-slack histograms); ``--quiet`` suppresses the human-readable report
 for scripted use (file outputs and ``--json`` still happen).  Trace
 timestamps are the engine's *virtual* seconds, so the same scenario and
 seeds produce byte-identical trace files.
@@ -389,7 +390,8 @@ def main(argv: list[str] | None = None) -> int:
         dest="metrics_json",
         default=None,
         metavar="FILE",
-        help="dump the run's metric registry as JSON",
+        help="dump the run's per-segment latency, service-time and "
+        "deadline-slack histograms as JSON",
     )
     parser.add_argument(
         "--quiet",
