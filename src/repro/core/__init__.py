@@ -11,9 +11,7 @@ from .metrics import CostPerfPowerPoint, render_table
 from .scenarios import (
     ALL_SCENARIOS,
     EXTENDED_SCENARIOS,
-    RUNTIME_CONTRACTS,
     DeviceScenario,
-    RuntimeContract,
     analysis_application,
     audio_player_scenario,
     camera_scenario,
@@ -42,8 +40,6 @@ __all__ = [
     "CostPerfPowerPoint",
     "DeviceScenario",
     "MultimediaSystem",
-    "RUNTIME_CONTRACTS",
-    "RuntimeContract",
     "SystemReport",
     "analysis_application",
     "audio_player_scenario",

@@ -18,7 +18,7 @@ C2 experiment keeps reproducing exactly the paper's device list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..audio.taskgraph import AudioWorkload
 from ..audio.taskgraph import decoder_taskgraph as audio_decoder_graph
@@ -137,94 +137,6 @@ def analysis_application(rate_hz: float = 30.0) -> ApplicationModel:
         ],
     )
     return ApplicationModel("analysis", g, required_rate_hz=rate_hz)
-
-
-@dataclass(frozen=True)
-class RuntimeContract:
-    """A device's runtime service contract for the streaming engine.
-
-    ``scheduler`` names the default :mod:`repro.runtime.schedulers`
-    policy the device ships with, and ``rates_hz`` declares the output
-    rate (frames/s) each session *kind* must sustain — the deadlines the
-    virtual-time engine enforces and the admission test checks.  Kinds
-    absent from the map run best-effort (no deadlines), the paper's
-    Section 8 split between real-time and background computations.
-    """
-
-    scheduler: str = "roundrobin"
-    rates_hz: dict = field(default_factory=dict)
-
-    def rate_for(self, kind: str) -> float | None:
-        return self.rates_hz.get(kind)
-
-
-#: Per-device runtime contracts, keyed like :data:`ALL_SCENARIOS` /
-#: :data:`EXTENDED_SCENARIOS`.  Rates follow each device's product spec
-#: above (15 Hz conferencing video, 30 Hz broadcast, ~40 Hz audio frame
-#: rates); live-analysis duties run at preview rate (30 Hz) even where
-#: recording runs slower, which is what makes deadline behaviour under
-#: mixed rates interesting (experiment R4 in DESIGN.md).
-RUNTIME_CONTRACTS = {
-    "cell_phone": RuntimeContract(
-        scheduler="edf",
-        rates_hz={"video_encode": 15.0, "video_decode": 15.0,
-                  "audio_encode": 40.0},
-    ),
-    "audio_player": RuntimeContract(
-        scheduler="roundrobin",
-        rates_hz={"audio_encode": 40.0},
-    ),
-    "set_top_box": RuntimeContract(
-        scheduler="weighted_fair",
-        rates_hz={"video_decode": 30.0},
-    ),
-    "dvr": RuntimeContract(
-        scheduler="edf",
-        rates_hz={"video_encode": 30.0, "analysis": 30.0},
-    ),
-    "camera": RuntimeContract(
-        scheduler="edf",
-        rates_hz={"video_encode": 30.0},
-    ),
-    "surveillance": RuntimeContract(
-        scheduler="edf",
-        rates_hz={"video_encode": 15.0, "analysis": 30.0},
-    ),
-    "video_wall": RuntimeContract(
-        scheduler="weighted_fair",
-        rates_hz={"video_decode": 30.0},
-    ),
-    "transcode_farm": RuntimeContract(
-        scheduler="platform",
-        rates_hz={"transcode": 30.0},
-    ),
-    # The audio-heavy streaming devices (experiment R7).  Contract rates
-    # follow the spec-sheet convention above (round numbers near the
-    # native Figure-2 cadence): the farm's 16 kHz episodes frame at
-    # ~41.7 Hz, contracted at 40; the bridge's scenario sets each room's
-    # exact native rate itself, this is the narrowband (8 kHz, ~20.8 Hz)
-    # floor for sessions added without one.
-    "podcast_farm": RuntimeContract(
-        scheduler="weighted_fair",
-        rates_hz={"audio_encode": 40.0},
-    ),
-    "conference_bridge": RuntimeContract(
-        scheduler="edf",
-        rates_hz={"audio_encode": 20.0},
-    ),
-    # The lossy-delivery devices (experiment R8): same media rates as
-    # their wired twins — the channel changes what arrives, never what
-    # the contract owes — under EDF, since delivery cost eats slack and
-    # deadline-blind sweeps start missing first.
-    "wireless_surveillance": RuntimeContract(
-        scheduler="edf",
-        rates_hz={"video_encode": 15.0, "analysis": 30.0},
-    ),
-    "lossy_wan_transcode": RuntimeContract(
-        scheduler="edf",
-        rates_hz={"transcode": 30.0},
-    ),
-}
 
 
 @dataclass

@@ -14,8 +14,8 @@
 
 ``--set key=value`` overrides a scenario parameter (ints stay ints);
 ``--no-cache`` disables the shared segment cache to expose its benefit;
-``--scheduler`` picks the virtual-time policy (default: the device's
-contract, see :data:`repro.core.scenarios.RUNTIME_CONTRACTS`);
+``--scheduler`` picks the virtual-time policy (default: the scenario's
+registered ``scheduler``, see :class:`repro.runtime.scenarios.Scenario`);
 ``--platform`` names an SoC preset for the ``platform`` scheduler;
 ``--admission`` controls the start-up schedulability gate;
 ``--json`` emits the engine report as machine-readable JSON;
@@ -299,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=sorted(SCHEDULERS),
         default=None,
         help="virtual-time scheduling policy "
-        "(default: the device's runtime contract)",
+        "(default: the scenario's registered scheduler)",
     )
     parser.add_argument(
         "--platform",

@@ -11,10 +11,12 @@ from one entry point::
     python -m repro.runtime.run surveillance --set cameras=8
 
 Adding a scenario is one decorated function returning sessions — see
-``docs/scenarios.md`` for the 20-line recipe.  Scenarios that correspond
+``docs/scenarios.md`` for the 21-line recipe.  Scenarios that correspond
 to a mappable device name their :class:`~repro.core.DeviceScenario` via
 ``device=...`` so the CLI's ``--map`` flag can bind the device's task
-graphs onto its SoC preset and report sustainable stream counts.
+graphs onto its SoC preset and report sustainable stream counts, and
+declare their runtime contract at registration: the default
+``scheduler=`` and the per-kind output rates ``rates_hz=``.
 
 Everything is seeded and synthetic (no media files), so two builds with
 the same parameters produce bit-identical workloads — the property the
@@ -57,20 +59,19 @@ class Scenario:
     defaults: dict = field(default_factory=dict)
     #: Key into ``ALL_SCENARIOS``/``EXTENDED_SCENARIOS`` for ``--map``.
     device: str | None = None
-
-    @property
-    def contract(self):
-        """The device's runtime contract (rates + default scheduler), or
-        ``None`` for deviceless scenarios (which then run best-effort
-        under the legacy round-robin)."""
-        from ..core.scenarios import RUNTIME_CONTRACTS
-
-        return RUNTIME_CONTRACTS.get(self.device) if self.device else None
-
-    @property
-    def default_scheduler(self) -> str:
-        contract = self.contract
-        return contract.scheduler if contract else "roundrobin"
+    #: The :mod:`~repro.runtime.schedulers` policy the device ships with.
+    default_scheduler: str = "roundrobin"
+    #: Output rate (frames/s) each session *kind* must sustain: the
+    #: deadlines the virtual-time engine enforces and the admission test
+    #: checks.  Kinds absent from the map run best-effort (no deadlines),
+    #: the paper's Section 8 split between real-time and background
+    #: computations.  Rates follow each device's product spec in
+    #: :mod:`repro.core.scenarios` (15 Hz conferencing video, 30 Hz
+    #: broadcast, ~40 Hz audio frame rates); live-analysis duties run at
+    #: preview rate (30 Hz) even where recording runs slower, which is
+    #: what makes deadline behaviour under mixed rates interesting
+    #: (experiment R4 in DESIGN.md).
+    rates_hz: dict = field(default_factory=dict)
 
     def sessions(self, **overrides) -> list[MediaSession]:
         params = dict(self.defaults)
@@ -82,11 +83,9 @@ class Scenario:
             )
         params.update(overrides)
         sessions = self.build(**params)
-        contract = self.contract
-        if contract is not None:
-            for session in sessions:
-                if session.rate_hz is None:
-                    session.rate_hz = contract.rate_for(session.kind)
+        for session in sessions:
+            if session.rate_hz is None:
+                session.rate_hz = self.rates_hz.get(session.kind)
         return sessions
 
 
@@ -106,9 +105,12 @@ class ScenarioRegistry:
         name: str,
         description: str,
         device: str | None = None,
+        scheduler: str = "roundrobin",
+        rates_hz: dict | None = None,
         **defaults,
     ):
-        """Decorator form: the function's kwargs become the parameters."""
+        """Decorator form: the function's kwargs become the parameters;
+        ``scheduler`` and ``rates_hz`` are the runtime contract."""
 
         def wrap(fn: Callable[..., list[MediaSession]]):
             self.add(
@@ -118,6 +120,8 @@ class ScenarioRegistry:
                     build=fn,
                     defaults=defaults,
                     device=device,
+                    default_scheduler=scheduler,
+                    rates_hz=dict(rates_hz or {}),
                 )
             )
             return fn
@@ -186,6 +190,9 @@ def _quickstart(frames: int, seed: int) -> list[MediaSession]:
     "two-party call: encode own feed, decode the peer's, code speech "
     "(examples/videoconferencing.py)",
     device="cell_phone",
+    scheduler="edf",
+    rates_hz={"video_encode": 15.0, "video_decode": 15.0,
+              "audio_encode": 40.0},
     frames=16,
     seed=0,
 )
@@ -208,6 +215,7 @@ def _videoconferencing(frames: int, seed: int) -> list[MediaSession]:
     "portable_player",
     "rip two tracks into the player library (examples/portable_player.py)",
     device="audio_player",
+    rates_hz={"audio_encode": 40.0},
     seed=0,
 )
 def _portable_player(seed: int) -> list[MediaSession]:
@@ -227,6 +235,8 @@ def _portable_player(seed: int) -> list[MediaSession]:
     "broadcast receiver: main picture + picture-in-picture decode "
     "(examples/set_top_box.py)",
     device="set_top_box",
+    scheduler="weighted_fair",
+    rates_hz={"video_decode": 30.0},
     frames=16,
     seed=0,
 )
@@ -249,6 +259,8 @@ def _set_top_box(frames: int, seed: int) -> list[MediaSession]:
     "record the broadcast while analysing it for commercials "
     "(examples/dvr_commercial_skip.py)",
     device="dvr",
+    scheduler="edf",
+    rates_hz={"video_encode": 30.0, "analysis": 30.0},
     frames=24,
     seed=0,
 )
@@ -271,6 +283,8 @@ def _dvr(frames: int, seed: int) -> list[MediaSession]:
     "N cameras into one hub; co-located cameras repeat scenes, so the "
     "segment cache collapses duplicate encodes",
     device="surveillance",
+    scheduler="edf",
+    rates_hz={"video_encode": 15.0, "analysis": 30.0},
     cameras=6,
     unique_feeds=2,
     frames=16,
@@ -303,6 +317,8 @@ def _surveillance(
     "one broadcast decoded onto N tiles; every tile after the first is a "
     "cache hit",
     device="video_wall",
+    scheduler="weighted_fair",
+    rates_hz={"video_decode": 30.0},
     tiles=6,
     frames=16,
     seed=0,
@@ -322,6 +338,10 @@ def _video_wall(tiles: int, frames: int, seed: int) -> list[MediaSession]:
     "a farm encoding podcast episodes into the library format; workers "
     "pulling the same episode are served from cache",
     device="podcast_farm",
+    scheduler="weighted_fair",
+    # The farm's 16 kHz episodes frame at ~41.7 Hz, contracted at the
+    # round spec-sheet 40 (experiment R7).
+    rates_hz={"audio_encode": 40.0},
     workers=4,
     episodes=2,
     seed=0,
@@ -350,6 +370,10 @@ def _podcast_farm(workers: int, episodes: int, seed: int) -> list[MediaSession]:
     "voice bridge mixing narrowband and wideband rooms, each encoded at "
     "its native audio frame rate",
     device="conference_bridge",
+    scheduler="edf",
+    # The builder sets each room's exact native rate itself; this is the
+    # narrowband (8 kHz, ~20.8 Hz) floor for sessions added without one.
+    rates_hz={"audio_encode": 20.0},
     narrowband=3,
     wideband=2,
     seed=0,
@@ -395,6 +419,12 @@ def _conference_bridge(
     "N cameras whose coded uplinks cross a bursty radio channel: "
     "Gilbert-Elliott loss, XOR parity FEC, interleaving, PSNR under loss",
     device="wireless_surveillance",
+    # The lossy-delivery devices (experiment R8) keep their wired twins'
+    # media rates -- the channel changes what arrives, never what the
+    # contract owes -- under EDF, since delivery cost eats slack and
+    # deadline-blind sweeps start missing first.
+    scheduler="edf",
+    rates_hz={"video_encode": 15.0, "analysis": 30.0},
     cameras=3,
     unique_feeds=2,
     frames=16,
@@ -448,6 +478,8 @@ def _wireless_surveillance(
     "a transcode farm pulling source clips over a congested WAN: i.i.d. "
     "loss on the inbound leg, concealment before re-encode",
     device="lossy_wan_transcode",
+    scheduler="edf",
+    rates_hz={"transcode": 30.0},
     workers=3,
     clips=2,
     frames=16,
@@ -492,6 +524,8 @@ def _lossy_wan_transcode(
     "a farm re-encoding popular clips; identical (clip, quality) jobs are "
     "served from cache",
     device="transcode_farm",
+    scheduler="platform",
+    rates_hz={"transcode": 30.0},
     workers=4,
     clips=2,
     frames=16,

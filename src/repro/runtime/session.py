@@ -232,8 +232,8 @@ class MediaSession:
         self.segments_computed = 0
         self.segments_from_cache = 0
         #: Contracted output rate in frames/s; ``None`` means best-effort
-        #: (no release gating, no deadlines).  Scenario rate contracts
-        #: (:data:`repro.core.scenarios.RUNTIME_CONTRACTS`) fill this in.
+        #: (no release gating, no deadlines).  A scenario's ``rates_hz``
+        #: (:class:`repro.runtime.scenarios.Scenario`) fills this in.
         self.rate_hz = rate_hz
         #: Virtual-time log, one :class:`SegmentTiming` per finished segment.
         self.timings: list[SegmentTiming] = []

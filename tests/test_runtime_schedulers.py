@@ -12,7 +12,6 @@ import math
 
 import pytest
 
-from repro.core import RUNTIME_CONTRACTS
 from repro.mapping import MappedTrace, segment_cost
 from repro.mpsoc import admission_test, symmetric_multicore
 from repro.runtime import (
@@ -423,9 +422,7 @@ class TestRateContracts:
         assert REGISTRY.get("dvr").default_scheduler == "edf"
         assert REGISTRY.get("video_wall").default_scheduler == "weighted_fair"
         assert REGISTRY.get("transcode_farm").default_scheduler == "platform"
-        assert set(RUNTIME_CONTRACTS) >= {
-            sc.device for sc in REGISTRY if sc.device
-        }
+        assert {sc.default_scheduler for sc in REGISTRY} <= set(SCHEDULERS)
 
 
 class TestCodedSegmentFrames:
