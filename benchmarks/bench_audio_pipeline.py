@@ -21,7 +21,6 @@ the perf trajectory accumulates run over run.
 
 import json
 import os
-import time
 
 import numpy as np
 
@@ -31,55 +30,13 @@ from repro.audio.psychoacoustic import PsychoacousticModel
 from repro.core import render_table
 from repro.workloads.audio_gen import music_like, speech_like
 
+from conftest import paired_best_of
+
 #: Where the JSON artifact lands (CI uploads ``BENCH_*.json`` from the
 #: working directory; point BENCH_JSON_DIR elsewhere to redirect).
 JSON_PATH = os.path.join(
     os.environ.get("BENCH_JSON_DIR", "."), "BENCH_audio_pipeline.json"
 )
-
-
-def best_of(fn, rounds=3):
-    """(best seconds, last result) over ``rounds`` runs."""
-    best = float("inf")
-    result = None
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
-def paired_best_of(ref_fn, fast_fn, ref_rounds=4, fast_rounds=10, floor=5.0):
-    """Warm per-side ``best_of`` windows for speedup ratios.
-
-    Each side is timed in its own back-to-back window after an untimed
-    warmup — the state a decoder actually runs in (stream after stream,
-    caches hot).  Interleaving the two sides round-by-round looks fairer
-    but systematically penalises the batched side: every reference round
-    evicts its working set, so no batched round ever runs warm.  Host
-    noise between the two windows is handled by retrying the whole pair
-    once when the ratio lands under ``floor`` — a steal burst during one
-    window is transient, and the better of two honest observations is
-    still a valid lower bound on the speedup.
-    """
-    ref_out = fast_fn()  # warm both paths (allocator, tables, caches)
-    ref_out = ref_fn()
-    best_pair = None
-    for _ in range(2):
-        fast_best = ref_best = float("inf")
-        for _ in range(fast_rounds):
-            t0 = time.perf_counter()
-            fast_out = fast_fn()
-            fast_best = min(fast_best, time.perf_counter() - t0)
-        for _ in range(ref_rounds):
-            t0 = time.perf_counter()
-            ref_out = ref_fn()
-            ref_best = min(ref_best, time.perf_counter() - t0)
-        if best_pair is None or ref_best / fast_best > best_pair[0] / best_pair[1]:
-            best_pair = (ref_best, fast_best, ref_out, fast_out)
-        if best_pair[0] / best_pair[1] >= floor:
-            break
-    return best_pair
 
 
 def test_batched_audio_pipeline_5x_on_whole_stream(benchmark, show):
@@ -89,8 +46,10 @@ def test_batched_audio_pipeline_5x_on_whole_stream(benchmark, show):
     ref_enc = AudioEncoder(cfg, batched=False)
 
     benchmark.pedantic(lambda: fast_enc.encode(pcm), rounds=3, iterations=1)
-    fast_s, fast_out = best_of(lambda: fast_enc.encode(pcm))
-    ref_s, ref_out = best_of(lambda: ref_enc.encode(pcm))
+    ref_s, fast_s, ref_out, fast_out = paired_best_of(
+        lambda: ref_enc.encode(pcm),
+        lambda: fast_enc.encode(pcm),
+    )
     encode_speedup = ref_s / fast_s
 
     # Decode both ways (window-gather unpack — gated at the same 5x

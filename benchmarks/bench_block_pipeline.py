@@ -24,7 +24,6 @@ perf trajectory accumulates run over run.
 
 import json
 import os
-import time
 
 import numpy as np
 
@@ -39,6 +38,8 @@ from repro.video.blockpipe import (
 from repro.video.decoder import VideoDecoder
 from repro.video.encoder import EncoderConfig, VideoEncoder
 from repro.workloads.video_gen import moving_blocks_sequence
+
+from conftest import best_of, paired_best_of
 
 #: Floor of the entropy-parse speedup: half the ~16x (13.6-19.7x over six
 #: runs) measured on a shared 2-vCPU x86 machine, CPython 3.11, NumPy 2.4.
@@ -62,50 +63,6 @@ def cif_frame(seed=7):
             )
         )
     )
-
-
-def best_of(fn, rounds=3):
-    """(best seconds, last result) over ``rounds`` runs."""
-    best = float("inf")
-    result = None
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
-def paired_best_of(ref_fn, fast_fn, ref_rounds=4, fast_rounds=10, floor=5.0):
-    """Warm per-side ``best_of`` windows for speedup ratios.
-
-    Each side is timed in its own back-to-back window after an untimed
-    warmup — the state a decoder actually runs in (stream after stream,
-    caches hot).  Interleaving the two sides round-by-round looks fairer
-    but systematically penalises the batched side: every reference round
-    evicts its working set, so no batched round ever runs warm.  Host
-    noise between the two windows is handled by retrying the whole pair
-    once when the ratio lands under ``floor`` — a steal burst during one
-    window is transient, and the better of two honest observations is
-    still a valid lower bound on the speedup.
-    """
-    ref_out = fast_fn()  # warm both paths (allocator, tables, caches)
-    ref_out = ref_fn()
-    best_pair = None
-    for _ in range(2):
-        fast_best = ref_best = float("inf")
-        for _ in range(fast_rounds):
-            t0 = time.perf_counter()
-            fast_out = fast_fn()
-            fast_best = min(fast_best, time.perf_counter() - t0)
-        for _ in range(ref_rounds):
-            t0 = time.perf_counter()
-            ref_out = ref_fn()
-            ref_best = min(ref_best, time.perf_counter() - t0)
-        if best_pair is None or ref_best / fast_best > best_pair[0] / best_pair[1]:
-            best_pair = (ref_best, fast_best, ref_out, fast_out)
-        if best_pair[0] / best_pair[1] >= floor:
-            break
-    return best_pair
 
 
 def frame_parses(data, monkeypatch):

@@ -14,7 +14,6 @@ perf trajectory accumulates run over run.
 
 import json
 import os
-import time
 
 import numpy as np
 
@@ -30,22 +29,13 @@ from repro.support.ipstack import (
     ones_complement_checksum_reference,
 )
 
+from conftest import best_of
+
 #: Where the JSON artifact lands (CI uploads ``BENCH_*.json`` from the
 #: working directory; point BENCH_JSON_DIR elsewhere to redirect).
 JSON_PATH = os.path.join(
     os.environ.get("BENCH_JSON_DIR", "."), "BENCH_net_delivery.json"
 )
-
-
-def best_of(fn, rounds=3):
-    """(best seconds, last result) over ``rounds`` runs."""
-    best = float("inf")
-    result = None
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
 
 
 def test_batched_packetize_and_fec_5x(benchmark, show):

@@ -23,7 +23,6 @@ The measurements land in ``BENCH_obs_overhead.json`` (CI uploads it and
 
 import json
 import os
-import time
 
 from repro.core import render_table
 from repro.obs import TraceRecorder
@@ -33,6 +32,8 @@ from repro.runtime import (
     SegmentResult,
     StreamEngine,
 )
+
+from conftest import best_of
 
 #: Where the JSON artifact lands (CI uploads ``BENCH_*.json`` from the
 #: working directory; point BENCH_JSON_DIR elsewhere to redirect).
@@ -89,16 +90,6 @@ def run_engine(tracer=None):
         sessions, cache=SegmentCache(64), trace=tracer
     )
     return engine.run()
-
-
-def best_of(fn, rounds):
-    best = float("inf")
-    result = None
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
 
 
 def test_tracing_disabled_is_free(benchmark, show):
