@@ -29,7 +29,12 @@ import numpy as np
 
 from repro.mpsoc import symmetric_multicore
 from repro.obs import ManualClock, TraceRecorder, dumps_chrome_trace
-from repro.runtime import SCHEDULERS, SegmentCache, StreamEngine, make_scheduler
+from repro.runtime import (
+    SCHEDULERS,
+    SegmentCache,
+    StreamEngine,
+    make_scheduler,
+)
 from repro.runtime.run import _device_platform
 from repro.runtime.scenarios import REGISTRY
 
@@ -53,7 +58,7 @@ SMALL = {
 #: Every scheduler the pin runs each scenario under.
 SCHEDULER_NAMES = sorted(SCHEDULERS)
 
-GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "scenarios.json"
+GOLDEN_PATH = Path(__file__).resolve().parents[1] / "golden" / "scenarios.json"
 
 
 def platform_for(scenario):
@@ -124,18 +129,15 @@ def pin_scenario(name: str) -> dict:
     }
 
 
-def load_golden() -> dict:
-    return json.loads(GOLDEN.read_text())
-
-
 def main() -> None:
     golden = {
         "sizes": SMALL,
         "scenarios": {name: pin_scenario(name) for name in REGISTRY.names()},
     }
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN} ({len(golden['scenarios'])} scenarios)")
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    text = json.dumps(golden, indent=1, sort_keys=True)
+    GOLDEN_PATH.write_text(text + "\n")
+    print(f"wrote {GOLDEN_PATH} ({len(golden['scenarios'])} scenarios)")
 
 
 if __name__ == "__main__":

@@ -12,17 +12,19 @@ it is a deliberate act (``python tests/strategies/scenario_pin.py``).
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.runtime.scenarios import REGISTRY
 from strategies.scenario_pin import (
+    GOLDEN_PATH,
     SCHEDULER_NAMES,
     SMALL,
-    load_golden,
     pin_run,
 )
 
-GOLDEN = load_golden()
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 
 def test_pin_covers_every_scenario_and_scheduler():
