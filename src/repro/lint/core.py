@@ -5,7 +5,7 @@ and never imports the code under analysis, so it runs in milliseconds,
 needs no third-party packages, and cannot be fooled by import-time side
 effects.  Three pieces:
 
-* :class:`ModuleContext` — one parsed source file (path, source, tree);
+* :class:`ModuleContext` — one parsed source file (path, tree);
 * :class:`Project` — the whole analysis input: every module context
   plus the interprocedural analysis built over them;
 * :class:`Checker` / :class:`ScopedVisitor` — the per-rule base
@@ -34,7 +34,6 @@ class ModuleContext:
 
     path: Path  # absolute
     relpath: str  # POSIX, relative to the project root
-    source: str
     tree: ast.Module
 
     @property
@@ -181,7 +180,7 @@ def parse_module(path: Path, root: Path) -> ModuleContext | Finding:
             rule="parse-error",
             message=f"could not parse: {exc.msg}",
         )
-    return ModuleContext(path=path, relpath=relpath, source=source, tree=tree)
+    return ModuleContext(path=path, relpath=relpath, tree=tree)
 
 
 def build_project(
