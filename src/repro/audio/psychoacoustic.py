@@ -21,6 +21,7 @@ This is a compact MPEG-1 "Model 1"-style analysis:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -149,6 +150,54 @@ class MaskingAnalysis:
         return 1.0 - float(np.mean(audible))
 
 
+def _bark_band_masks(bark_z: np.ndarray) -> list[np.ndarray]:
+    """Boolean bin masks of the occupied integer Bark bands, in order."""
+    max_bark = int(np.ceil(bark_z[-1]))
+    masks = []
+    for band in range(max_bark + 1):
+        mask = (bark_z >= band) & (bark_z < band + 1)
+        if np.any(mask):
+            masks.append(mask)
+    return masks
+
+
+@lru_cache(maxsize=8)
+def _model_tables(
+    sample_rate: float, fft_size: int, num_bands: int
+) -> tuple[np.ndarray, ...]:
+    """The model's constant arrays for one geometry, derived once.
+
+    ``(window, freqs, bark, quiet, bark_starts, noise_floor,
+    quiet_power, band_starts)``, all read-only: every model of the same
+    geometry shares them, so building a :class:`PsychoacousticModel`
+    (one per :class:`repro.audio.AudioEncoder`) costs no array work.
+    """
+    window = np.hanning(fft_size)
+    freqs = np.fft.rfftfreq(fft_size, d=1.0 / sample_rate)
+    bark_z = bark(freqs)
+    quiet = threshold_in_quiet(freqs)
+    # Batched-path layout (experiment R12), derived from the scalar
+    # path's own band definitions.  Integer Bark bands are contiguous
+    # bin runs because the Bark scale rises with frequency.
+    masks = _bark_band_masks(bark_z)
+    bark_starts = np.array([np.argmax(m) for m in masks])
+    bounds = np.append(bark_starts, freqs.size)
+    assert all(
+        np.array_equal(np.flatnonzero(m), np.arange(lo, hi))
+        for m, lo, hi in zip(masks, bounds[:-1], bounds[1:])
+    ), "integer Bark bands must be contiguous bin runs"
+    noise_floor = np.minimum.reduceat(quiet, bark_starts) - 20.0
+    quiet_power = 10.0 ** (quiet / 10.0)
+    band_starts = np.arange(num_bands) * (freqs.size // num_bands)
+    tables = (
+        window, freqs, bark_z, quiet, bark_starts, noise_floor,
+        quiet_power, band_starts,
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 class PsychoacousticModel:
     """FFT-based masking analysis producing per-subband SMRs."""
 
@@ -163,27 +212,11 @@ class PsychoacousticModel:
         self.sample_rate = float(sample_rate)
         self.fft_size = int(fft_size)
         self.num_bands = int(num_bands)
-        self._window = np.hanning(self.fft_size)
-        self._freqs = np.fft.rfftfreq(self.fft_size, d=1.0 / self.sample_rate)
-        self._bark = bark(self._freqs)
-        self._quiet = threshold_in_quiet(self._freqs)
-        # Batched-path layout (experiment R12), derived once from the
-        # scalar path's own band definitions.  Integer Bark bands are
-        # contiguous bin runs because the Bark scale rises with frequency.
-        masks = self._bark_band_masks()
-        self._bark_starts = np.array([np.argmax(m) for m in masks])
-        bounds = np.append(self._bark_starts, self._freqs.size)
-        assert all(
-            np.array_equal(np.flatnonzero(m), np.arange(lo, hi))
-            for m, lo, hi in zip(masks, bounds[:-1], bounds[1:])
-        ), "integer Bark bands must be contiguous bin runs"
-        self._noise_floor = (
-            np.minimum.reduceat(self._quiet, self._bark_starts) - 20.0
-        )
-        self._quiet_power = 10.0 ** (self._quiet / 10.0)
-        self._band_starts = (
-            np.arange(self.num_bands) * (self._freqs.size // self.num_bands)
-        )
+        (
+            self._window, self._freqs, self._bark, self._quiet,
+            self._bark_starts, self._noise_floor, self._quiet_power,
+            self._band_starts,
+        ) = _model_tables(self.sample_rate, self.fft_size, self.num_bands)
 
     def analyze(self, samples: np.ndarray) -> MaskingAnalysis:
         """Run the model on one window of PCM (padded/truncated to the FFT)."""
@@ -297,7 +330,7 @@ class PsychoacousticModel:
         # band masks the batched model iterates — one definition, so the
         # scalar/batched bit-identity cannot drift).
         residual = np.where(tonal_bins, 0.0, power)
-        for mask in self._bark_band_masks():
+        for mask in _bark_band_masks(self._bark):
             energy = _row_sum(residual[mask])
             if energy <= 0.0:
                 continue
@@ -351,16 +384,6 @@ class PsychoacousticModel:
         ref = (self.fft_size / 2.0) * np.mean(self._window)
         power = (np.abs(spec) / ref) ** 2
         return FULL_SCALE_SPL + 10.0 * np.log10(np.maximum(power, 1e-12))
-
-    def _bark_band_masks(self) -> list[np.ndarray]:
-        """Boolean bin masks of the occupied integer Bark bands, in order."""
-        max_bark = int(np.ceil(self._bark[-1]))
-        masks = []
-        for band in range(max_bark + 1):
-            mask = (self._bark >= band) & (self._bark < band + 1)
-            if np.any(mask):
-                masks.append(mask)
-        return masks
 
     def _global_threshold_batch(self, spectrum_db: np.ndarray) -> np.ndarray:
         """Vectorized maskers + threshold for a whole (F, bins) batch.

@@ -29,6 +29,7 @@ measured rather than analytic numbers (see
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -392,43 +393,73 @@ class StreamEngine:
         if tracer.enabled:
             self._bind_delivery_tracers(tracer)
         scheduler = self.scheduler
-        clocks = [SessionClock(session=s) for s in self.sessions]
+        clocks = [
+            SessionClock(session=s, index=i)
+            for i, s in enumerate(self.sessions)
+        ]
         scheduler.bind(clocks)
+        key = scheduler.key
+        # Unfinished clocks live in exactly one of two heaps: ``waiting``
+        # by (release, index) until their input has arrived, then
+        # ``ready`` by the scheduler's key.  Only the clock that just ran
+        # moves between them, so a step costs O(log sessions).
+        waiting = [(c.release(), c.index, c) for c in clocks if not c.finished]
+        heapq.heapify(waiting)
+        ready: list = []
+        misses = sum(s.deadline_misses for s in self.sessions)
+        stalled = None
         now = 0.0
         steps = 0
         while True:
-            unfinished = [c for c in clocks if not c.finished]
-            if not unfinished:
-                break
-            ready = [c for c in unfinished if c.release() <= now + _EPS]
+            while waiting and waiting[0][0] <= now + _EPS:
+                clock = heapq.heappop(waiting)[2]
+                heapq.heappush(ready, (key(clock), clock.index, clock))
             if not ready:
-                now = min(c.release() for c in unfinished)
-                ready = [c for c in unfinished if c.release() <= now + _EPS]
+                if not waiting:
+                    break
+                now = waiting[0][0]
+                continue
             clock = scheduler.select(ready, now)
             session = clock.session
             hits_before = session.segments_from_cache
             deliveries_before = len(session.delivery_log)
             result = session.step(self.cache)
-            if result is None:  # defensive: session lied about finished
-                continue
-            steps += 1
-            from_cache = session.segments_from_cache > hits_before
-            cost = scheduler.segment_cost(clock, result, from_cache)
-            # The delivery stage is real work on the virtual clock too:
-            # per-packet ipstack + interconnect costs from the pipe's model.
-            delivery_cost = 0.0
-            if len(session.delivery_log) > deliveries_before:
-                delivery_cost = session.delivery_log[-1].virtual_cost_s
-                cost += delivery_cost
-            finish = now + cost
-            session.record_timing(now, finish, from_cache=from_cache)
-            scheduler.charge(clock, cost)
-            if tracer.enabled:
-                self._trace_segment(
-                    tracer, scheduler, session, result,
-                    now, finish, from_cache, delivery_cost,
+            if result is None:
+                # A session that returns no segment but still reports
+                # unfinished goes back in the queue.  Two empty steps in
+                # a row from one session would repeat forever: raise.
+                if stalled is clock:
+                    raise RuntimeError(
+                        f"session {session.name!r} returned no segment "
+                        f"twice in a row but is not finished"
+                    )
+                stalled = clock
+            else:
+                stalled = None
+                steps += 1
+                from_cache = session.segments_from_cache > hits_before
+                cost = scheduler.segment_cost(clock, result, from_cache)
+                # The delivery stage is real work on the virtual clock
+                # too: per-packet ipstack + interconnect costs from the
+                # pipe's model.
+                delivery_cost = 0.0
+                if len(session.delivery_log) > deliveries_before:
+                    delivery_cost = session.delivery_log[-1].virtual_cost_s
+                    cost += delivery_cost
+                finish = now + cost
+                timing = session.record_timing(
+                    now, finish, from_cache=from_cache
                 )
-            now = finish
+                scheduler.charge(clock, cost)
+                if tracer.enabled:
+                    misses += timing.missed
+                    self._trace_segment(
+                        tracer, scheduler, session, result,
+                        now, finish, from_cache, delivery_cost, misses,
+                    )
+                now = finish
+            if not clock.finished:
+                heapq.heappush(waiting, (clock.release(), clock.index, clock))
         if tracer.enabled:
             self._trace_sessions(tracer)
         elapsed = self.clock.now() - started
@@ -501,6 +532,7 @@ class StreamEngine:
         finish: float,
         from_cache: bool,
         delivery_cost: float,
+        deadline_misses: int,
     ) -> None:
         """Emit one segment's spans: the segment window on the session
         track, proportional stage sub-spans (computed segments only — a
@@ -566,10 +598,7 @@ class StreamEngine:
             tracer.counter(
                 "engine", "cache_hits", finish, self.cache.stats.hits
             )
-        tracer.counter(
-            "engine", "deadline_misses", finish,
-            sum(s.deadline_misses for s in self.sessions),
-        )
+        tracer.counter("engine", "deadline_misses", finish, deadline_misses)
 
     def _trace_sessions(self, tracer: Tracer) -> None:
         """Emit each session's enclosing parent span (first segment start

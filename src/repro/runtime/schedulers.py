@@ -25,6 +25,7 @@ Four policies ship:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from ..mapping.evaluate import SegmentCostTrace, segment_cost
@@ -38,6 +39,9 @@ class SessionClock:
     """Per-session ledger the engine keeps while a run is in flight."""
 
     session: MediaSession
+    #: Position in the engine's session list (round-robin order and the
+    #: tie-break of the engine's release heap).
+    index: int = 0
     weight: float = 1.0
     #: WFQ service tag: virtual finish time of the last charged segment.
     virtual_finish: float = 0.0
@@ -61,6 +65,18 @@ class SessionClock:
 
 class Scheduler:
     """Policy choosing which ready session runs its next segment.
+
+    A policy is a priority over ready clocks.  :meth:`key` gives a
+    clock's priority (smaller runs first; keys are unique because
+    session names are), and the engine keeps its released clocks in one
+    heap of ``(key, index, clock)`` entries.  :meth:`select` pops the
+    entry to run; the engine calls it exactly once per step.  A key is
+    computed when a clock enters the ready heap and never recomputed
+    while it waits there, so it may depend only on state that changes
+    when *that* clock steps or is charged (its release, deadline or
+    virtual-finish tag) — plus, for :class:`RoundRobin`, the rotation
+    cursor, which never passes a waiting clock.  Per step the engine
+    pays O(log sessions), whatever the run length.
 
     Also owns the *cost model*: :meth:`segment_cost` converts a finished
     segment's measured profile into virtual seconds.  The default charges
@@ -91,8 +107,13 @@ class Scheduler:
     def bind(self, clocks: list[SessionClock]) -> None:
         """Called once before the run with every session's clock."""
 
-    def select(self, ready: list[SessionClock], now: float) -> SessionClock:
+    def key(self, clock: SessionClock):
+        """Ready-heap priority of ``clock``; the smallest runs next."""
         raise NotImplementedError
+
+    def select(self, ready: list, now: float) -> SessionClock:
+        """Pop the ready heap's smallest ``(key, index, clock)`` entry."""
+        return heapq.heappop(ready)[2]
 
     def segment_cost(
         self, clock: SessionClock, result: SegmentResult, from_cache: bool
@@ -122,19 +143,20 @@ class RoundRobin(Scheduler):
     name = "roundrobin"
 
     def bind(self, clocks: list[SessionClock]) -> None:
-        self._order = list(clocks)
+        self._sessions = len(clocks)
         self._cursor = 0
 
-    def select(self, ready: list[SessionClock], now: float) -> SessionClock:
-        eligible = set(id(c) for c in ready)
-        n = len(self._order)
-        for _ in range(n):
-            clock = self._order[self._cursor % n]
-            self._cursor += 1
-            if id(clock) in eligible:
-                return clock
-        # Engine guarantees ready is non-empty and drawn from bound clocks.
-        raise RuntimeError("round-robin found no eligible session")
+    def key(self, clock: SessionClock) -> int:
+        # The cursor value at which a sweep from the cursor reaches this
+        # clock.  It stays exact while the clock waits: every select
+        # leaves the cursor just past the smallest ready key.
+        cursor = self._cursor
+        return cursor + (clock.index - cursor) % self._sessions
+
+    def select(self, ready: list, now: float) -> SessionClock:
+        position, _, clock = heapq.heappop(ready)
+        self._cursor = position + 1
+        return clock
 
 
 class WeightedFair(Scheduler):
@@ -162,8 +184,8 @@ class WeightedFair(Scheduler):
         for clock in clocks:
             clock.weight = self.weights.get(clock.name, clock.weight)
 
-    def select(self, ready: list[SessionClock], now: float) -> SessionClock:
-        return min(ready, key=lambda c: (c.virtual_finish, c.name))
+    def key(self, clock: SessionClock) -> tuple[float, str]:
+        return clock.virtual_finish, clock.name
 
 
 class EDF(Scheduler):
@@ -178,8 +200,8 @@ class EDF(Scheduler):
     name = "edf"
     admission_policy = "edf"
 
-    def select(self, ready: list[SessionClock], now: float) -> SessionClock:
-        return min(ready, key=lambda c: (c.deadline(), c.name))
+    def key(self, clock: SessionClock) -> tuple[float, str]:
+        return clock.deadline(), clock.name
 
 
 class PlatformMapped(EDF):

@@ -241,6 +241,13 @@ class MediaSession:
         self.delivery = None
         #: One :class:`repro.net.DeliveredSegment` per transported segment.
         self.delivery_log: list = []
+        # Running totals behind ``frames_done``, ``total_bits`` and
+        # ``deadline_misses``: the schedulers read them every step, so
+        # they must not re-sum the logs.  ``step()`` and
+        # ``record_timing()`` are their only writers.
+        self._frames_done = 0
+        self._total_bits = 0
+        self._deadline_misses = 0
 
     # -- subclass surface --------------------------------------------------
 
@@ -318,6 +325,8 @@ class MediaSession:
             self.segments_from_cache += 1
             cache.credit(result.stage_ops)
         self.segments.append(result)
+        self._frames_done += result.frames
+        self._total_bits += result.bits
         if self.delivery is not None and self.delivery_point == "output":
             delivered = self.delivery.transport(result.data, release)
         if delivered is not None:
@@ -418,6 +427,7 @@ class MediaSession:
             from_cache=from_cache,
         )
         self.timings.append(timing)
+        self._deadline_misses += timing.missed
         return timing
 
     def estimated_stage_ops(self) -> dict[str, float] | None:
@@ -441,7 +451,7 @@ class MediaSession:
 
     @property
     def deadline_misses(self) -> int:
-        return sum(1 for t in self.timings if t.missed)
+        return self._deadline_misses
 
     @property
     def deadlines(self) -> int:
@@ -462,11 +472,11 @@ class MediaSession:
 
     @property
     def frames_done(self) -> int:
-        return sum(s.frames for s in self.segments)
+        return self._frames_done
 
     @property
     def total_bits(self) -> int:
-        return sum(s.bits for s in self.segments)
+        return self._total_bits
 
     def output_bytes(self) -> bytes:
         """Concatenated segment bitstreams (self-delimiting per segment)."""
