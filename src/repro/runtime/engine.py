@@ -425,39 +425,40 @@ class StreamEngine:
             deliveries_before = len(session.delivery_log)
             result = session.step(self.cache)
             if result is None:
-                # A session that returns no segment but still reports
-                # unfinished goes back in the queue.  Two empty steps in
-                # a row from one session would repeat forever: raise.
-                if stalled is clock:
-                    raise RuntimeError(
-                        f"session {session.name!r} returned no segment "
-                        f"twice in a row but is not finished"
+                # A session that returns no segment yet reports unfinished
+                # goes back in the queue; a second empty step in a row
+                # would repeat forever, so it raises instead.
+                if not clock.finished:
+                    if stalled is clock:
+                        raise RuntimeError(
+                            f"session {session.name!r} returned no segment "
+                            f"twice in a row but is not finished"
+                        )
+                    stalled = clock
+                    heapq.heappush(
+                        waiting, (clock.release(), clock.index, clock)
                     )
-                stalled = clock
-            else:
-                stalled = None
-                steps += 1
-                from_cache = session.segments_from_cache > hits_before
-                cost = scheduler.segment_cost(clock, result, from_cache)
-                # The delivery stage is real work on the virtual clock
-                # too: per-packet ipstack + interconnect costs from the
-                # pipe's model.
-                delivery_cost = 0.0
-                if len(session.delivery_log) > deliveries_before:
-                    delivery_cost = session.delivery_log[-1].virtual_cost_s
-                    cost += delivery_cost
-                finish = now + cost
-                timing = session.record_timing(
-                    now, finish, from_cache=from_cache
+                continue
+            stalled = None
+            steps += 1
+            from_cache = session.segments_from_cache > hits_before
+            cost = scheduler.segment_cost(clock, result, from_cache)
+            # The delivery stage is real work on the virtual clock too:
+            # per-packet ipstack + interconnect costs from the pipe's model.
+            delivery_cost = 0.0
+            if len(session.delivery_log) > deliveries_before:
+                delivery_cost = session.delivery_log[-1].virtual_cost_s
+                cost += delivery_cost
+            finish = now + cost
+            timing = session.record_timing(now, finish, from_cache=from_cache)
+            scheduler.charge(clock, cost)
+            if tracer.enabled:
+                misses += timing.missed
+                self._trace_segment(
+                    tracer, scheduler, session, result,
+                    now, finish, from_cache, delivery_cost, misses,
                 )
-                scheduler.charge(clock, cost)
-                if tracer.enabled:
-                    misses += timing.missed
-                    self._trace_segment(
-                        tracer, scheduler, session, result,
-                        now, finish, from_cache, delivery_cost, misses,
-                    )
-                now = finish
+            now = finish
             if not clock.finished:
                 heapq.heappush(waiting, (clock.release(), clock.index, clock))
         if tracer.enabled:
