@@ -419,7 +419,7 @@ class StreamEngine:
                     break
                 now = waiting[0][0]
                 continue
-            clock = scheduler.select(ready, now)
+            clock = scheduler.select(ready)
             session = clock.session
             hits_before = session.segments_from_cache
             deliveries_before = len(session.delivery_log)

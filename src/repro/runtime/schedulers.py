@@ -111,7 +111,7 @@ class Scheduler:
         """Ready-heap priority of ``clock``; the smallest runs next."""
         raise NotImplementedError
 
-    def select(self, ready: list, now: float) -> SessionClock:
+    def select(self, ready: list) -> SessionClock:
         """Pop the ready heap's smallest ``(key, index, clock)`` entry."""
         return heapq.heappop(ready)[2]
 
@@ -153,7 +153,7 @@ class RoundRobin(Scheduler):
         cursor = self._cursor
         return cursor + (clock.index - cursor) % self._sessions
 
-    def select(self, ready: list, now: float) -> SessionClock:
+    def select(self, ready: list) -> SessionClock:
         position, _, clock = heapq.heappop(ready)
         self._cursor = position + 1
         return clock
