@@ -67,8 +67,8 @@ class Scheduler:
     """Policy choosing which ready session runs its next segment.
 
     A policy is a priority over ready clocks.  :meth:`key` gives a
-    clock's priority (smaller runs first; keys are unique because
-    session names are), and the engine keeps its released clocks in one
+    clock's priority (smaller runs first; keys are unique, as session
+    names and sweep positions are), and the engine keeps its released clocks in one
     heap of ``(key, index, clock)`` entries.  :meth:`select` pops the
     entry to run; the engine calls it exactly once per step.  A key is
     computed when a clock enters the ready heap and never recomputed
