@@ -6,7 +6,6 @@ bit allocation, the RPE-LTP speech codec, and quality metrics.
 
 from .bitalloc import (
     Allocation,
-    allocate_bits,
     allocate_bits_batch,
     allocate_bits_reference,
     flat_allocation,
@@ -50,7 +49,6 @@ __all__ = [
     "RpeLtpDecoder",
     "RpeLtpEncoder",
     "BatchedMaskingAnalysis",
-    "allocate_bits",
     "allocate_bits_batch",
     "allocate_bits_reference",
     "band_energies",

@@ -66,10 +66,24 @@ def allocate_bits_reference(
 
     Rebuilds the full per-band MNR array and the candidate list on every
     granted bit — O(bands x granted bits) per frame.  Kept as the pinned
-    oracle for :func:`allocate_bits` (the incremental rewrite) and
-    :func:`allocate_bits_batch` (the lockstep batch form, experiment R7);
-    all three produce identical allocations, identical MNR arrays, and
-    identical spent-bit counts.
+    oracle for :func:`allocate_bits_batch` (the sorted-prefix and lockstep
+    batch form, experiments R7 and R12), which produces identical
+    allocations, identical MNR arrays, and identical spent-bit counts.
+    The scalar encoder path allocates with it frame by frame.
+
+    Parameters
+    ----------
+    smr_db:
+        Signal-to-mask ratio per subband (dB).  Higher SMR = the band needs
+        more quantizer SNR before its noise drops under the masking curve.
+    pool_bits:
+        Total bits available for samples + per-band side information.
+    samples_per_band:
+        Subband samples carried per frame (12 in our Layer-1-style frames);
+        granting a band one more bit costs ``samples_per_band`` bits.
+    side_bits_per_band:
+        Extra cost charged the first time a band becomes active (its
+        scalefactor field).
     """
     smr = np.asarray(smr_db, dtype=np.float64)
     _check_allocation_args(smr, pool_bits, samples_per_band)
@@ -105,66 +119,6 @@ def allocate_bits_reference(
         bits[worst] += 1
 
     mnr = np.array([quantizer_snr_db(int(b)) for b in bits]) - smr
-    return Allocation(
-        bits=bits,
-        mnr_db=mnr,
-        pool_bits=pool_bits,
-        spent_bits=pool_bits - remaining,
-    )
-
-
-def allocate_bits(
-    smr_db: np.ndarray,
-    pool_bits: int,
-    samples_per_band: int,
-    side_bits_per_band: int = 0,
-    max_bits: int = MAX_BITS,
-) -> Allocation:
-    """Greedy MNR-driven allocation with an incremental MNR update.
-
-    Identical decisions and outputs to :func:`allocate_bits_reference` —
-    granting a bit changes one band's MNR only, so the loop updates that
-    single entry (``SNR_PER_BIT * bits - smr``, the exact expression the
-    reference evaluates) instead of rebuilding the whole array, and finds
-    the worst affordable band with one vectorized masked argmin.
-
-    Parameters
-    ----------
-    smr_db:
-        Signal-to-mask ratio per subband (dB).  Higher SMR = the band needs
-        more quantizer SNR before its noise drops under the masking curve.
-    pool_bits:
-        Total bits available for samples + per-band side information.
-    samples_per_band:
-        Subband samples carried per frame (12 in our Layer-1-style frames);
-        granting a band one more bit costs ``samples_per_band`` bits.
-    side_bits_per_band:
-        Extra cost charged the first time a band becomes active (its
-        scalefactor field).
-    """
-    smr = np.asarray(smr_db, dtype=np.float64)
-    _check_allocation_args(smr, pool_bits, samples_per_band)
-
-    num_bands = smr.size
-    bits = np.zeros(num_bands, dtype=np.int64)
-    mnr = 0.0 - smr  # quantizer_snr_db(0) == 0.0 for every band
-    remaining = pool_bits
-    while True:
-        cost = np.where(
-            bits == 0, samples_per_band + side_bits_per_band, samples_per_band
-        )
-        affordable = (bits < max_bits) & (cost <= remaining)
-        # argmin takes the first minimum, matching the reference's
-        # (mnr, band-index) tie-break.  Test the masked value, not
-        # ``mnr[worst]``: when every affordable band sits at +inf MNR
-        # (SMR -inf) the argmin can land on an unaffordable band.
-        masked = np.where(affordable, mnr, np.inf)
-        worst = int(np.argmin(masked))
-        if masked[worst] >= 12.0:
-            break
-        remaining -= int(cost[worst])
-        bits[worst] += 1
-        mnr[worst] = SNR_PER_BIT * bits[worst] - smr[worst]
     return Allocation(
         bits=bits,
         mnr_db=mnr,

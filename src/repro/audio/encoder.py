@@ -30,9 +30,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..video.bitstream import BitReader, BitWriter
-from .bitalloc import Allocation, allocate_bits, allocate_bits_batch, flat_allocation
+from .bitalloc import (
+    Allocation,
+    allocate_bits_batch,
+    allocate_bits_reference,
+    flat_allocation,
+)
 from .filterbank import PolyphaseFilterbank
-from .frame import SAMPLES_PER_BAND, frame_side_bits, pack_frame, unpack_frame
+from .frame import SAMPLES_PER_BAND, frame_side_bits, pack_frame, read_frames
 from .psychoacoustic import PsychoacousticModel
 from .subbandpipe import pack_frames_batch, unpack_frames_batch
 
@@ -323,7 +328,7 @@ class AudioEncoder:
         if cfg.use_psychoacoustics:
             result = self._model.analyze(window)
             smr = result.band_smr_db
-            allocation = allocate_bits(
+            allocation = allocate_bits_reference(
                 smr,
                 pool_bits=pool,
                 samples_per_band=SAMPLES_PER_BAND,
@@ -439,11 +444,12 @@ class DecodedAudio:
 class AudioDecoder:
     """Unpacks frames and runs the synthesis filterbank.
 
-    ``batched`` mirrors the encoder: the default drains each frame's
-    fixed-width fields through the chunked ``read_many`` bulk path and
+    ``batched`` mirrors the encoder: the default gathers every frame's
+    fixed-width fields out of one bit-window peek array
+    (:func:`~repro.audio.subbandpipe.unpack_frames_batch`) and
     dequantizes/synthesizes the whole stream at once; the scalar
     reference walks fields one ``read_bits`` at a time.  Both emit
-    bit-identical PCM.
+    bit-identical PCM and raise the same errors.
     """
 
     def __init__(self, batched: bool = True) -> None:
@@ -503,23 +509,19 @@ class AudioDecoder:
     ) -> tuple[np.ndarray, bytes]:
         """Scalar frame-at-a-time unpack: the batched decode oracle.
 
-        One :func:`repro.audio.frame.unpack_frame` (field-by-field
-        ``read_bits``) per frame — the formulation the decoder shipped
-        with, kept per the ``_reference`` convention and pinned against
-        the window-gather :func:`unpack_frames_batch` path by the
+        :func:`repro.audio.frame.read_frames` — one field-by-field
+        :func:`~repro.audio.frame.unpack_frame` plus the ancillary bytes
+        per frame, the formulation the decoder shipped with — kept per
+        the ``_reference`` convention and pinned against the
+        window-gather :func:`unpack_frames_batch` path by the
         equivalence harness.
         """
-        block_list = []
-        anc = bytearray()
-        for _ in range(frames):
-            block_list.append(unpack_frame(reader, num_bands))
-            for _ in range(anc_per_frame):
-                anc.append(reader.read_bits(8))
+        rows = list(read_frames(reader, frames, num_bands, anc_per_frame))
         subbands = (
-            np.vstack(block_list) if block_list
+            np.vstack([block for block, _ in rows]) if rows
             else np.zeros((0, num_bands))
         )
-        return subbands, bytes(anc)
+        return subbands, b"".join(chunk for _, chunk in rows)
 
     @staticmethod
     def _unpack_concealing(
@@ -534,19 +536,15 @@ class AudioDecoder:
         """
         blocks: list[np.ndarray] = []
         anc = bytearray()
-        good = 0
-        for f in range(frames):
-            try:
-                block = unpack_frame(reader, num_bands)
-                chunk = bytes(
-                    reader.read_bits(8) for _ in range(anc_per_frame)
-                )
-            except (EOFError, ValueError):
-                break
-            blocks.append(block)
-            anc.extend(chunk)
-            good = f + 1
-        concealed = frames - good
+        try:
+            for block, chunk in read_frames(
+                reader, frames, num_bands, anc_per_frame
+            ):
+                blocks.append(block)
+                anc.extend(chunk)
+        except (EOFError, ValueError):
+            pass
+        concealed = frames - len(blocks)
         if concealed:
             mute = np.zeros((SAMPLES_PER_BAND, num_bands))
             blocks.append(blocks[-1] if blocks else mute)

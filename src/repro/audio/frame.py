@@ -121,6 +121,27 @@ def unpack_frame(
     return block
 
 
+def read_frames(
+    reader: BitReader,
+    frames: int,
+    num_bands: int,
+    ancillary_bytes_per_frame: int,
+    samples_per_band: int = SAMPLES_PER_BAND,
+):
+    """Yield each frame's ``(block, ancillary bytes)``, field by field.
+
+    The scalar stream read: :func:`unpack_frame`, then the frame's
+    ancillary bytes, one ``read_bits`` per field.  A frame that runs off
+    the end of the buffer raises from the field it ran out in, after
+    every complete frame before it was yielded.
+    """
+    for _ in range(frames):
+        block = unpack_frame(reader, num_bands, samples_per_band)
+        yield block, bytes(
+            reader.read_bits(8) for _ in range(ancillary_bytes_per_frame)
+        )
+
+
 def frame_side_bits(num_bands: int, allocation: np.ndarray) -> int:
     """Bits spent on side information for a frame with this allocation."""
     active = int(np.count_nonzero(allocation))

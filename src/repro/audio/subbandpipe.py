@@ -20,8 +20,9 @@ loops.  This module runs the whole chain at *segment* granularity:
 * frame packing assembles every fixed-width field of the segment —
   allocations, scalefactors, codes, ancillary bytes — as one ``(values,
   widths)`` pair flushed through ``BitWriter.write_many``
-  (:func:`pack_frames_batch`), and unpacking drains them back through the
-  chunked ``BitReader.read_many`` bulk path (:func:`unpack_frames_batch`).
+  (:func:`pack_frames_batch`), and unpacking gathers them back out of one
+  :meth:`BitReader.bit_window` peek array (:func:`unpack_frames_batch`,
+  experiment R9).
 
 Every step is **bit-identical** to the scalar reference implementations
 (same subbands, same SMRs, same allocations, same bitstream bytes),
@@ -41,6 +42,7 @@ from .frame import (
     ALLOC_FIELD_BITS,
     SAMPLES_PER_BAND,
     SCF_FIELD_BITS,
+    read_frames,
     scalefactor_table,
 )
 
@@ -199,10 +201,10 @@ def unpack_frames_batch(
     dequantization then runs over the whole ``(frames, samples, bands)``
     tensor as before.
 
-    A segment whose frames run off the end of the buffer falls back to
-    the chunked ``read_many`` drain (:func:`_unpack_frames_chunked`, the
-    pre-R9 formulation) from the starting position, preserving the exact
-    truncation error behaviour.
+    A segment whose frames run off the end of the buffer is re-read from
+    its start with the scalar :func:`repro.audio.frame.read_frames`, the
+    reference decoder's own loop, so it raises the same error from the
+    same field.
     """
     anc = int(ancillary_bytes_per_frame)
     start = reader.bit_position
@@ -218,9 +220,8 @@ def unpack_frames_batch(
     pos = start
     for f in range(num_frames):
         if pos + alloc_bits > nbits:
-            reader.seek(start)
-            return _unpack_frames_chunked(
-                reader, num_frames, num_bands, samples_per_band, anc
+            return _read_frames_from(
+                reader, start, num_frames, num_bands, samples_per_band, anc
             )
         offs[f] = pos
         # C-speed reductions over a plain list beat both ndarray
@@ -234,9 +235,8 @@ def unpack_frames_batch(
             + anc_bits
         )
         if pos > nbits:
-            reader.seek(start)
-            return _unpack_frames_chunked(
-                reader, num_frames, num_bands, samples_per_band, anc
+            return _read_frames_from(
+                reader, start, num_frames, num_bands, samples_per_band, anc
             )
 
     # The allocation matrix itself is one vectorized gather off the
@@ -302,49 +302,19 @@ def unpack_frames_batch(
     return blocks, ancillary
 
 
-def _unpack_frames_chunked(
-    reader,
-    num_frames: int,
-    num_bands: int,
-    samples_per_band: int = SAMPLES_PER_BAND,
-    ancillary_bytes_per_frame: int = 0,
+def _read_frames_from(
+    reader, start, num_frames, num_bands, samples_per_band, anc
 ) -> tuple[np.ndarray, bytes]:
-    """Chunked ``read_many`` drain (the R7 batched unpack).
+    """:func:`unpack_frames_batch`'s result by the scalar frame read.
 
-    Kept as the truncated-stream fallback of :func:`unpack_frames_batch`:
-    it consumes fields in exactly the scalar order, so a stream that ends
-    mid-frame raises from the same field with the same exception as
-    before the window-gather rewrite.
+    Used only on a segment whose fields pass the end of the buffer, where
+    it raises what the reference decoder raises.
     """
-    anc = int(ancillary_bytes_per_frame)
-    allocations = np.zeros((num_frames, num_bands), dtype=np.int64)
-    scf_idx = np.zeros((num_frames, num_bands), dtype=np.int64)
-    codes = np.zeros((num_frames, samples_per_band, num_bands), dtype=np.int64)
-    anc_chunks: list[np.ndarray] = []
-    alloc_widths = np.full(num_bands, ALLOC_FIELD_BITS, dtype=np.int64)
-    for f in range(num_frames):
-        alloc = reader.read_many(alloc_widths)
-        allocations[f] = alloc
-        active = np.nonzero(alloc > 0)[0]
-        if active.size:
-            scf_idx[f, active] = reader.read_many(
-                np.full(active.size, SCF_FIELD_BITS, dtype=np.int64)
-            )
-            band_codes = reader.read_many(
-                np.repeat(alloc[active], samples_per_band)
-            )
-            codes[f, :, active] = band_codes.reshape(
-                active.size, samples_per_band
-            )
-        if anc:
-            anc_chunks.append(
-                reader.read_many(np.full(anc, 8, dtype=np.int64))
-            )
-    blocks = batch_dequantize(
-        codes, allocations, scalefactor_table()[scf_idx]
+    reader.seek(start)
+    rows = list(
+        read_frames(reader, num_frames, num_bands, anc, samples_per_band)
     )
-    ancillary = (
-        np.concatenate(anc_chunks).astype(np.uint8).tobytes()
-        if anc_chunks else b""
+    blocks = np.array([block for block, _ in rows]).reshape(
+        num_frames, samples_per_band, num_bands
     )
-    return blocks, ancillary
+    return blocks, b"".join(chunk for _, chunk in rows)

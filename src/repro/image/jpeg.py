@@ -20,13 +20,14 @@ from ..video.bitstream import BitReader, BitWriter
 from ..video.blockpipe import (
     plane_to_vectors,
     read_plane_vectors,
+    read_plane_vectors_reference,
     vectors_to_plane,
     write_plane_vectors,
+    write_plane_vectors_reference,
 )
 from ..video.dct import dct_2d, idct_2d
 from ..video.frames import pad_to_multiple
 from ..video.quant import INTRA_BASE, dequantize, quantize, scaled_matrix
-from ..video.rle import EOB, encode_block
 from ..video.zigzag import inverse_zigzag, zigzag
 
 MAGIC = 0x4A49  # "JI"
@@ -95,30 +96,13 @@ class JpegLikeCodec:
         self, writer: BitWriter, padded: np.ndarray, matrix: np.ndarray
     ) -> None:
         """Scalar block-at-a-time coder: the equivalence oracle."""
-        ac_codec = tables.default_ac_codec(BLOCK)
-        dc_codec = tables.default_dc_codec(BLOCK)
-        eob = tables.eob_symbol(BLOCK)
-        prev_dc = 0
-        for y in range(0, padded.shape[0], BLOCK):
-            for x in range(0, padded.shape[1], BLOCK):
-                block = padded[y:y + BLOCK, x:x + BLOCK] - 128.0
-                levels = quantize(dct_2d(block), matrix)
-                vec = zigzag(levels)
-                dc = int(vec[0])
-                diff = dc - prev_dc
-                prev_dc = dc
-                cat = tables.magnitude_category(diff)
-                dc_codec.encode_symbol(cat, writer)
-                tables.encode_magnitude(diff, writer)
-                for event in encode_block(vec[1:]):
-                    if event == EOB:
-                        ac_codec.encode_symbol(eob, writer)
-                        continue
-                    cat = tables.magnitude_category(event.level)
-                    ac_codec.encode_symbol(
-                        tables.pack_ac(event.run, cat), writer
-                    )
-                    tables.encode_magnitude(event.level, writer)
+        shifted = padded - 128.0
+        vectors = [
+            zigzag(quantize(dct_2d(shifted[y:y + BLOCK, x:x + BLOCK]), matrix))
+            for y in range(0, padded.shape[0], BLOCK)
+            for x in range(0, padded.shape[1], BLOCK)
+        ]
+        write_plane_vectors_reference(writer, vectors, BLOCK, 0)
 
     def decode(self, encoded: EncodedImage | bytes) -> np.ndarray:
         data = encoded.data if isinstance(encoded, EncodedImage) else encoded
@@ -162,27 +146,17 @@ class JpegLikeCodec:
         eob: int,
     ) -> np.ndarray:
         """Scalar block-at-a-time decode: the equivalence oracle."""
+        vectors, _ = read_plane_vectors_reference(
+            reader, (pad_h // BLOCK) * (pad_w // BLOCK), BLOCK, 0,
+            ac_codec, dc_codec, eob,
+        )
         out = np.empty((pad_h, pad_w))
-        prev_dc = 0
+        blocks = iter(vectors)
         for y in range(0, pad_h, BLOCK):
             for x in range(0, pad_w, BLOCK):
-                vec = np.zeros(BLOCK * BLOCK, dtype=np.int32)
-                cat = dc_codec.decode_symbol(reader)
-                prev_dc += tables.decode_magnitude(cat, reader)
-                vec[0] = prev_dc
-                pos = 1
-                while True:
-                    symbol = ac_codec.decode_symbol(reader)
-                    if symbol == eob:
-                        break
-                    run, cat = tables.unpack_ac(symbol)
-                    pos += run
-                    if pos >= BLOCK * BLOCK:
-                        raise ValueError("corrupt image stream")
-                    vec[pos] = tables.decode_magnitude(cat, reader)
-                    pos += 1
                 coeffs = dequantize(
-                    inverse_zigzag(vec, BLOCK).astype(np.float64), matrix
+                    inverse_zigzag(next(blocks), BLOCK).astype(np.float64),
+                    matrix,
                 )
                 out[y:y + BLOCK, x:x + BLOCK] = idct_2d(coeffs) + 128.0
         return np.clip(out[:height, :width], 0.0, 255.0)

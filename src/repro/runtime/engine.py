@@ -475,28 +475,11 @@ class StreamEngine:
         if pe_busy is not None and now > 0:
             pe_util = {pe: min(1.0, b / now) for pe, b in pe_busy.items()}
             platform_name = scheduler.platform.name
-        by_name = {c.name: c for c in clocks}
+        busy_s = {c.name: c.busy_s for c in clocks}
         delivery_summaries = [s.delivery_summary() for s in self.sessions]
-        report = EngineReport(
-            sessions=[
-                SessionSummary(
-                    name=s.name,
-                    kind=s.kind,
-                    segments=len(s.segments),
-                    frames=s.frames_done,
-                    bits=s.total_bits,
-                    computed=s.segments_computed,
-                    from_cache=s.segments_from_cache,
-                    rate_hz=s.rate_hz,
-                    deadline_misses=s.deadline_misses,
-                    deadlines=s.deadlines,
-                    virtual_busy_s=by_name[s.name].busy_s,
-                    mean_latency_s=s.mean_latency_s,
-                    max_latency_s=s.max_latency_s,
-                    delivery=summary,
-                )
-                for s, summary in zip(self.sessions, delivery_summaries)
-            ],
+        metrics = MetricsRegistry()
+        return EngineReport(
+            sessions=self._summaries(busy_s, delivery_summaries, metrics),
             cache=self.cache.stats if self.cache is not None else CacheStats(),
             elapsed_s=elapsed,
             steps=steps,
@@ -507,9 +490,8 @@ class StreamEngine:
             platform=platform_name,
             admission=admission,
             delivery=aggregate_delivery(delivery_summaries),
+            metrics=metrics,
         )
-        self._fill_metrics(report)
-        return report
 
     # -- observability -----------------------------------------------------
 
@@ -620,29 +602,60 @@ class StreamEngine:
                 },
             )
 
-    def _fill_metrics(self, report: EngineReport) -> None:
-        """Register the per-segment distributions the report does not
-        hold: completion latency, virtual service time, and deadline
-        slack of rated segments.  Every total (steps, frames, bits,
-        cache, delivery, stage ops, PE busy) lives in the report's own
-        fields only."""
-        m = report.metrics
-        latency = m.histogram(
+    def _summaries(
+        self,
+        busy_s: dict[str, float],
+        deliveries: list[dict | None],
+        metrics: MetricsRegistry,
+    ) -> list[SessionSummary]:
+        """Each session's scorecard, from one walk over its timings.
+
+        The same walk feeds the per-segment distributions the report
+        does not hold: completion latency, virtual service time, and
+        deadline slack of rated segments.  Every total (steps, frames,
+        bits, cache, delivery, stage ops, PE busy) lives in the report's
+        own fields only.
+        """
+        latency = metrics.histogram(
             "session.latency_s", "per-segment completion latency"
         )
-        slack = m.histogram(
+        slack = metrics.histogram(
             "deadline.slack_s", "deadline minus finish (rated segments)"
         )
-        busy = m.histogram(
+        busy = metrics.histogram(
             "session.segment_cost_s", "per-segment virtual service time"
         )
-        for session in self.sessions:
-            for timing in session.timings:
-                latency.observe(timing.latency)
+        summaries = []
+        for session, delivery in zip(self.sessions, deliveries):
+            latencies = [t.latency for t in session.timings]
+            rated = 0
+            for timing, lat in zip(session.timings, latencies):
+                latency.observe(lat)
                 busy.observe(timing.finish - timing.start)
                 if not math.isinf(timing.deadline):
+                    rated += 1
                     slack.observe(timing.deadline - timing.finish)
-
+            summaries.append(SessionSummary(
+                name=session.name,
+                kind=session.kind,
+                segments=len(session.segments),
+                frames=session.frames_done,
+                bits=session.total_bits,
+                computed=session.segments_computed,
+                from_cache=session.segments_from_cache,
+                rate_hz=session.rate_hz,
+                deadline_misses=session.deadline_misses,
+                deadlines=rated,
+                virtual_busy_s=busy_s[session.name],
+                # sum() over a list: CPython 3.12's sum compensates float
+                # error, so an ``acc +=`` loop would change the report.
+                mean_latency_s=(
+                    sum(latencies) / len(latencies) if latencies else 0.0
+                ),
+                max_latency_s=max(latencies, default=0.0),
+                delivery=delivery,
+            ))
+        return summaries
 
 def _running_totals(values) -> list[float]:
     """Cumulative sums (no numpy import for a handful of stages)."""

@@ -453,21 +453,6 @@ class MediaSession:
     def deadline_misses(self) -> int:
         return self._deadline_misses
 
-    @property
-    def deadlines(self) -> int:
-        """Rated segments (the denominator for the miss rate)."""
-        return sum(1 for t in self.timings if not math.isinf(t.deadline))
-
-    @property
-    def mean_latency_s(self) -> float:
-        if not self.timings:
-            return 0.0
-        return sum(t.latency for t in self.timings) / len(self.timings)
-
-    @property
-    def max_latency_s(self) -> float:
-        return max((t.latency for t in self.timings), default=0.0)
-
     # -- accounting --------------------------------------------------------
 
     @property

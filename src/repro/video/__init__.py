@@ -31,7 +31,7 @@ from .motion import (
 )
 from .quant import INTRA_BASE, INTER_BASE, dequantize, quantize, scaled_matrix
 from .ratecontrol import RateController
-from .rle import batch_run_levels, encode_blocks
+from .rle import batch_run_levels
 from .zigzag import inverse_zigzag, inverse_zigzag_blocks, zigzag, zigzag_blocks
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "dct_2d_direct",
     "dequantize",
     "diamond_search",
-    "encode_blocks",
     "full_search",
     "idct_1d",
     "idct_2d",

@@ -23,7 +23,10 @@ Every step is **bit-identical** to the scalar reference implementations the
 codecs keep (``_code_plane_reference`` / ``_decode_plane_reference`` and
 the ``*_reference`` kernels in :mod:`repro.video.zigzag`): same coefficient
 values, same levels, same (run, level) events, same bitstream bytes.  The
-equivalence is pinned per kernel and per codec in
+scalar entropy format lives here once, as
+:func:`write_plane_vectors_reference` / :func:`read_plane_vectors_reference`,
+and every scalar codec path (video and JPEG, encode and decode) goes
+through that pair.  The equivalence is pinned per kernel and per codec in
 ``tests/test_video_blockpipe.py`` and across every registered runtime
 scenario; the speedup is asserted in
 ``benchmarks/bench_block_pipeline.py`` (>= 5x on whole-frame intra encode).
@@ -43,7 +46,7 @@ from .bitstream import PEEK_WIDTH
 from .dct import blocked_dct_2d, blocked_idct_2d, tile_blocks, untile_blocks
 from .huffman import fast_decoder
 from .quant import dequantize, quantize
-from .rle import batch_run_levels
+from .rle import batch_run_levels, encode_block
 from .zigzag import inverse_zigzag_blocks, zigzag_blocks
 
 # --------------------------------------------------------------- transforms
@@ -142,11 +145,12 @@ def write_plane_vectors(
 ) -> int:
     """Entropy-code a plane's zig-zag vectors; returns the new DC predictor.
 
-    Bit-identical to the scalar per-block writer (DC category + magnitude,
-    then per non-zero level the packed (run, category) Huffman code + its
-    magnitude bits, then EOB): every field of the plane is assembled as a
-    (value, width) pair in NumPy — Huffman code and magnitude bits fused
-    into one field — and flushed with a single ``write_many`` call.
+    Bit-identical to :func:`write_plane_vectors_reference` (DC category +
+    magnitude, then per non-zero level the packed (run, category) Huffman
+    code + its magnitude bits, then EOB): every field of the plane is
+    assembled as a (value, width) pair in NumPy — Huffman code and
+    magnitude bits fused into one field — and flushed with a single
+    ``write_many`` call.
     """
     vectors = np.asarray(vectors)
     nblocks = vectors.shape[0]
@@ -193,6 +197,34 @@ def write_plane_vectors(
 
     writer.write_many(vals, ws)
     return int(dcs[-1])
+
+
+def write_plane_vectors_reference(
+    writer, vectors: np.ndarray, block_size: int, prev_dc: int
+) -> int:
+    """Scalar per-block writer: the :func:`write_plane_vectors` oracle.
+
+    One ``encode_symbol`` / ``encode_magnitude`` call per field, in the
+    stream order of the format: the DC difference's category and
+    magnitude, then each :func:`~repro.video.rle.encode_block` event's
+    packed (run, category) code and magnitude, then EOB.  Returns the new
+    DC predictor.
+    """
+    ac_codec = tables.default_ac_codec(block_size)
+    dc_codec = tables.default_dc_codec(block_size)
+    eob = tables.eob_symbol(block_size)
+    for vec in np.asarray(vectors):
+        dc = int(vec[0])
+        diff = dc - prev_dc
+        dc_codec.encode_symbol(tables.magnitude_category(diff), writer)
+        tables.encode_magnitude(diff, writer)
+        for event in encode_block(vec[1:])[:-1]:  # the last event is EOB
+            cat = tables.magnitude_category(event.level)
+            ac_codec.encode_symbol(tables.pack_ac(event.run, cat), writer)
+            tables.encode_magnitude(event.level, writer)
+        ac_codec.encode_symbol(eob, writer)
+        prev_dc = dc
+    return prev_dc
 
 
 def read_plane_vectors(

@@ -14,7 +14,11 @@ import numpy as np
 
 from . import codec_tables as tables
 from .bitstream import BitReader
-from .blockpipe import read_plane_vectors, vectors_to_plane
+from .blockpipe import (
+    read_plane_vectors,
+    read_plane_vectors_reference,
+    vectors_to_plane,
+)
 from .dct import idct_2d
 from .encoder import BLOCK_SIZE, MAGIC, VERSION, _halve_motion
 from .frames import Frame
@@ -210,7 +214,7 @@ class VideoDecoder:
                 plane += prediction
                 np.clip(plane, 0.0, 255.0, out=plane)
             else:
-                plane, _ = self._decode_plane_reference(
+                plane = self._decode_plane_reference(
                     reader, ph, pw, n, matrix, prediction,
                     ac_codec, dc_codec, eob,
                 )
@@ -244,42 +248,25 @@ class VideoDecoder:
         ac_codec,
         dc_codec,
         eob: int,
-    ) -> tuple[np.ndarray, int]:
-        """Scalar block-at-a-time plane decode: the equivalence oracle."""
+    ) -> np.ndarray:
+        """Scalar block-at-a-time plane decode: the equivalence oracle.
+
+        The plane's entropy stream is parsed by
+        :func:`~repro.video.blockpipe.read_plane_vectors_reference`, then
+        each block is un-scanned, dequantized and inverse-transformed.
+        """
+        vectors, _ = read_plane_vectors_reference(
+            reader, (height // n) * (width // n), n, 0,
+            ac_codec, dc_codec, eob,
+        )
         plane = np.empty((height, width), dtype=np.float64)
-        prev_dc = 0
-        blocks = 0
+        blocks = iter(vectors)
         for y in range(0, height, n):
             for x in range(0, width, n):
-                vec, prev_dc = self._decode_block(
-                    reader, n, ac_codec, dc_codec, eob, prev_dc
-                )
-                levels = inverse_zigzag(vec, n)
+                levels = inverse_zigzag(next(blocks), n)
                 coeffs = dequantize(levels.astype(np.float64), matrix)
                 plane[y:y + n, x:x + n] = (
                     idct_2d(coeffs) + prediction[y:y + n, x:x + n]
                 )
-                blocks += 1
         np.clip(plane, 0.0, 255.0, out=plane)
-        return plane, blocks
-
-    def _decode_block(
-        self, reader: BitReader, n: int, ac_codec, dc_codec, eob: int,
-        prev_dc: int,
-    ) -> tuple[np.ndarray, int]:
-        vec = np.zeros(n * n, dtype=np.int32)
-        cat = dc_codec.decode_symbol(reader)
-        dc = prev_dc + tables.decode_magnitude(cat, reader)
-        vec[0] = dc
-        pos = 1
-        while True:
-            symbol = ac_codec.decode_symbol(reader)
-            if symbol == eob:
-                break
-            run, cat = tables.unpack_ac(symbol)
-            pos += run
-            if pos >= n * n:
-                raise ValueError("corrupt stream: AC coefficients overrun block")
-            vec[pos] = tables.decode_magnitude(cat, reader)
-            pos += 1
-        return vec, dc
+        return plane

@@ -24,20 +24,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import codec_tables as tables
 from .bitstream import BitWriter
 from .blockpipe import (
     levels_to_plane,
     plane_to_vectors,
     write_plane_vectors,
+    write_plane_vectors_reference,
 )
 from .dct import dct_2d, idct_2d
 from .frames import Frame, pad_to_multiple
 from .motion import SEARCH_ALGORITHMS, MotionField, motion_compensate
 from .quant import INTRA_BASE, dequantize, quantize, uniform_matrix
 from .ratecontrol import RateController
-from .rle import EOB, encode_block
-from .zigzag import zigzag
+from .zigzag import inverse_zigzag, zigzag
 
 MAGIC = 0x5657  # "VW"
 VERSION = 1
@@ -160,10 +159,6 @@ class VideoEncoder:
     ) -> None:
         self.config = config or EncoderConfig()
         self.batched = batched
-        n = self.config.block_size
-        self._ac_codec = tables.default_ac_codec(n)
-        self._dc_codec = tables.default_dc_codec(n)
-        self._eob = tables.eob_symbol(n)
 
     # ----------------------------------------------------------------- API
 
@@ -361,26 +356,20 @@ class VideoEncoder:
         residual = plane - prediction
         h, w = plane.shape
         recon = np.empty_like(plane)
-        prev_dc = 0
-        blocks = 0
+        vectors = []
         for y in range(0, h, n):
             for x in range(0, w, n):
                 block = residual[y:y + n, x:x + n]
-                coeffs = dct_2d(block)
-                levels = quantize(coeffs, matrix)
-                vec = zigzag(levels)
-                prev_dc = self._write_block(writer, vec, prev_dc)
+                vec = zigzag(quantize(dct_2d(block), matrix))
+                vectors.append(vec)
                 dequant = dequantize(
-                    np.asarray(
-                        _unzigzag_cached(vec, n), dtype=np.float64
-                    ),
-                    matrix,
+                    inverse_zigzag(vec, n).astype(np.float64), matrix
                 )
                 rec_block = idct_2d(dequant) + prediction[y:y + n, x:x + n]
                 recon[y:y + n, x:x + n] = rec_block
-                blocks += 1
+        write_plane_vectors_reference(writer, vectors, n, 0)
         np.clip(recon, 0.0, 255.0, out=recon)
-        return recon, self._plane_ops(blocks)
+        return recon, self._plane_ops(len(vectors))
 
     def _plane_ops(self, blocks: int) -> dict[str, float]:
         """Analytic per-plane op profile (identical for both pipelines)."""
@@ -391,22 +380,6 @@ class VideoEncoder:
             "inverse_dct": float(blocks * 2 * n ** 3),
             "vlc": float(blocks * n * n),
         }
-
-    def _write_block(self, writer: BitWriter, vec: np.ndarray, prev_dc: int) -> int:
-        """Entropy-code one zig-zag vector; returns the new DC predictor."""
-        dc = int(vec[0])
-        diff = dc - prev_dc
-        cat = tables.magnitude_category(diff)
-        self._dc_codec.encode_symbol(cat, writer)
-        tables.encode_magnitude(diff, writer)
-        for event in encode_block(vec[1:]):
-            if event == EOB:
-                self._ac_codec.encode_symbol(self._eob, writer)
-                continue
-            cat = tables.magnitude_category(event.level)
-            self._ac_codec.encode_symbol(tables.pack_ac(event.run, cat), writer)
-            tables.encode_magnitude(event.level, writer)
-        return dc
 
 
 def _halve_motion(
@@ -424,9 +397,3 @@ def _halve_motion(
     return MotionField(
         dy=motion.dy[pick] // 2, dx=motion.dx[pick] // 2, block_size=n
     )
-
-
-def _unzigzag_cached(vec: np.ndarray, n: int) -> np.ndarray:
-    from .zigzag import inverse_zigzag
-
-    return inverse_zigzag(vec, n)

@@ -5,12 +5,12 @@ model (runs of zeros between non-zero levels, plus an end-of-block marker)
 followed by entropy coding of the (run, level) events — see
 :mod:`repro.video.huffman`.
 
-:func:`encode_block` is the scalar per-coefficient scan (and the oracle the
-batched pipeline is pinned against); :func:`batch_run_levels` extracts the
-same events for a whole ``(nblocks, length)`` batch of zig-zag vectors in a
-handful of NumPy passes built on ``np.nonzero`` (experiment R6 in
-DESIGN.md), and :func:`encode_blocks` wraps them back into per-block event
-lists when the object form is wanted.
+:func:`encode_block` is the scalar per-coefficient scan that
+:func:`repro.video.blockpipe.write_plane_vectors_reference` codes block by
+block; :func:`batch_run_levels` extracts the same events for a whole
+``(nblocks, length)`` batch of zig-zag vectors in a handful of NumPy passes
+built on ``np.nonzero`` (experiment R6 in DESIGN.md), the form
+:func:`repro.video.blockpipe.write_plane_vectors` codes.
 """
 
 from __future__ import annotations
@@ -83,56 +83,3 @@ def batch_run_levels(
     counts = np.bincount(rows, minlength=vectors.shape[0])
     starts = np.concatenate(([0], np.cumsum(counts)))
     return starts, runs, levels
-
-
-def encode_blocks(vectors: np.ndarray) -> list[list]:
-    """Batch form of :func:`encode_block`: one event list per input row.
-
-    Identical output to ``[encode_block(v) for v in vectors]``, with the
-    zero-run scanning done by :func:`batch_run_levels` instead of a Python
-    loop over every coefficient.
-    """
-    vectors = np.asarray(vectors)
-    starts, runs, levels = batch_run_levels(vectors)
-    runs_list = runs.tolist()
-    levels_list = levels.tolist()
-    blocks: list[list] = []
-    for b in range(vectors.shape[0]):
-        events: list = [
-            RunLevel(run=runs_list[k], level=int(levels_list[k]))
-            for k in range(starts[b], starts[b + 1])
-        ]
-        events.append(EOB)
-        blocks.append(events)
-    return blocks
-
-
-def decode_block(events: list, length: int) -> np.ndarray:
-    """Invert :func:`encode_block` into a vector of ``length`` entries."""
-    out = np.zeros(length, dtype=np.int32)
-    pos = 0
-    for event in events:
-        if event == EOB:
-            return out
-        if not isinstance(event, RunLevel):
-            raise ValueError(f"unexpected event {event!r} in run-length stream")
-        pos += event.run
-        if pos >= length:
-            raise ValueError("run-length stream overruns the block")
-        out[pos] = event.level
-        pos += 1
-    raise ValueError("run-length stream missing EOB terminator")
-
-
-def split_blocks(events: list) -> list[list]:
-    """Split a flat event stream into per-block event lists (EOB-terminated)."""
-    blocks: list[list] = []
-    current: list = []
-    for event in events:
-        current.append(event)
-        if event == EOB:
-            blocks.append(current)
-            current = []
-    if current:
-        raise ValueError("trailing events after final EOB")
-    return blocks

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro.audio.bitalloc import (
     SNR_PER_BIT,
-    allocate_bits,
     allocate_bits_batch,
     allocate_bits_reference,
 )
@@ -64,6 +63,8 @@ from repro.video.bitstream import BitReader, BitWriter
 from repro.video.blockpipe import (
     read_plane_vectors,
     read_plane_vectors_reference,
+    write_plane_vectors,
+    write_plane_vectors_reference,
 )
 from repro.video.decoder import VideoDecoder
 from repro.video.encoder import VideoEncoder
@@ -262,10 +263,30 @@ def _jpeg_encode_cases(draw):
     return image, quality
 
 
+#: Bits of the JPEG-like header (magic, width, height, quality).
+_JPEG_HEADER_BITS = 16 + 16 + 16 + 7
+
+
 @st.composite
 def _jpeg_streams(draw):
+    """A coded image, intact, truncated, or with one to three bits of its
+    entropy-coded payload flipped.
+
+    Flips stay past the header: a flipped dimension field only scales
+    the block count, which the truncation cases already cover.
+    """
     image, quality = draw(_jpeg_encode_cases())
-    return JpegLikeCodec(batched=True).encode(image, quality).data
+    data = JpegLikeCodec(batched=True).encode(image, quality).data
+    damage = draw(st.sampled_from(("intact", "truncated", "flipped")))
+    if damage == "truncated":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if damage == "flipped":
+        buf = bytearray(data)
+        bits = st.integers(_JPEG_HEADER_BITS, len(data) * 8 - 1)
+        for bit in draw(st.lists(bits, min_size=1, max_size=3)):
+            buf[bit // 8] ^= 0x80 >> (bit % 8)
+        return bytes(buf)
+    return data
 
 
 @st.composite
@@ -289,6 +310,32 @@ def _se_bitstreams(draw):
     if trailing:
         writer.write_bits(draw(st.integers(0, (1 << trailing) - 1)), trailing)
     return writer.getvalue(), count
+
+
+@st.composite
+def _plane_vector_cases(draw):
+    """(vectors, n, prev_dc, lead): one plane of zig-zag vectors to code.
+
+    Zero to six blocks, each sparse with levels across every AC category,
+    dense with small levels, or empty; DC values and the incoming DC
+    predictor span the whole DC-difference alphabet.  ``lead`` bits are
+    written first, so the plane starts mid-byte.
+    """
+    n = draw(st.sampled_from((4, 8)))
+    nblocks = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(domains.rng_seeds()))
+    ac_length = n * n - 1
+    vectors = np.zeros((nblocks, n * n), dtype=np.int32)
+    for b in range(nblocks):
+        style = int(rng.integers(3))  # sparse-large, dense-small, empty
+        if style == 0:
+            sparse = rng.random(ac_length) < 0.15
+            vectors[b, 1:] = rng.integers(-4095, 4096, size=ac_length) * sparse
+        elif style == 1:
+            vectors[b, 1:] = rng.integers(-3, 4, size=ac_length)
+    vectors[:, 0] = rng.integers(-2048, 2048, size=nblocks)
+    prev_dc = int(rng.integers(-2048, 2048))
+    return vectors, n, prev_dc, draw(st.integers(0, 7))
 
 
 @st.composite
@@ -370,8 +417,12 @@ def _compensate_cases(draw):
 
 @st.composite
 def _audio_streams(draw):
+    """A coded stream, whole or cut short anywhere."""
     pcm, cfg, anc = draw(_audio_encode_cases())
-    return AudioEncoder(cfg, batched=True).encode(pcm, anc).data
+    data = AudioEncoder(cfg, batched=True).encode(pcm, anc).data
+    if draw(st.booleans()):
+        return data[:draw(st.integers(0, len(data) - 1))]
+    return data
 
 
 @st.composite
@@ -454,6 +505,18 @@ def _read_se(batched: bool):
     return run
 
 
+def _write_plane(batched: bool):
+    def run(case):
+        vectors, n, prev_dc, lead = case
+        writer = BitWriter()
+        writer.write_bits(0, lead)
+        write = write_plane_vectors if batched else write_plane_vectors_reference
+        dc = write(writer, vectors, n, prev_dc)
+        return writer.getvalue(), len(writer), dc
+
+    return run
+
+
 def plane_parse_outcome(
     data: bytes, plane_blocks, n: int, codecs=None, *, batched: bool
 ):
@@ -497,8 +560,12 @@ def _compensate(batched: bool):
 
 
 def _audio_decode(batched: bool):
+    """The decoded stream, or the ``(exception type, message)`` raised."""
     def run(data):
-        out = AudioDecoder(batched=batched).decode(data)
+        try:
+            out = AudioDecoder(batched=batched).decode(data)
+        except (EOFError, ValueError) as exc:
+            return type(exc), str(exc)
         return out.pcm, out.sample_rate, out.ancillary, out.delay
 
     return run
@@ -509,6 +576,17 @@ def _audio_encode(batched: bool):
         pcm, cfg, anc = case
         out = AudioEncoder(cfg, batched=batched).encode(pcm, anc)
         return out.data, [s.allocation for s in out.frame_stats]
+
+    return run
+
+
+def _jpeg_decode(batched: bool):
+    """The decoded image, or the ``(exception type, message)`` raised."""
+    def run(data):
+        try:
+            return JpegLikeCodec(batched=batched).decode(data)
+        except (EOFError, ValueError) as exc:
+            return type(exc), str(exc)
 
     return run
 
@@ -529,27 +607,20 @@ def _with_mnr_bytes(alloc):
 
 def _bitalloc_reference(case):
     smr, pool, samples, side, max_bits = case
-    rows = [
+    return [
         _with_mnr_bytes(
             allocate_bits_reference(row, pool, samples, side, max_bits)
         )
         for row in smr
     ]
-    return rows, rows
 
 
 def _bitalloc_batched(case):
-    """The incremental rewrite per row AND the batch form on all rows."""
     smr, pool, samples, side, max_bits = case
-    incremental = [
-        _with_mnr_bytes(allocate_bits(row, pool, samples, side, max_bits))
-        for row in smr
-    ]
-    batch = [
+    return [
         _with_mnr_bytes(alloc)
         for alloc in allocate_bits_batch(smr, pool, samples, side, max_bits)
     ]
-    return incremental, batch
 
 
 def _filterbank(kernel):
@@ -630,6 +701,13 @@ _register(OraclePair(
 ))
 
 _register(OraclePair(
+    oracle="repro.video.blockpipe.write_plane_vectors_reference",
+    strategy=_plane_vector_cases(),
+    run_reference=_write_plane(batched=False),
+    run_batched=_write_plane(batched=True),
+))
+
+_register(OraclePair(
     oracle="repro.video.blockpipe.read_plane_vectors_reference",
     strategy=plane_vector_streams(),
     run_reference=_plane_vectors(batched=False),
@@ -655,8 +733,8 @@ _register(OraclePair(
 _register(OraclePair(
     oracle="repro.image.jpeg.JpegLikeCodec._decode_blocks_reference",
     strategy=_jpeg_streams(),
-    run_reference=lambda data: JpegLikeCodec(batched=False).decode(data),
-    run_batched=lambda data: JpegLikeCodec(batched=True).decode(data),
+    run_reference=_jpeg_decode(batched=False),
+    run_batched=_jpeg_decode(batched=True),
 ))
 
 # -- audio ---------------------------------------------------------------

@@ -9,7 +9,7 @@ from repro.audio import (
     AudioDecoder,
     AudioEncoder,
     AudioEncoderConfig,
-    allocate_bits,
+    allocate_bits_reference,
     flat_allocation,
     quantizer_snr_db,
     snr_db,
@@ -33,28 +33,28 @@ from repro.workloads.audio_gen import multitone, music_like, tone
 class TestBitAllocation:
     def test_bits_go_to_high_smr_bands(self):
         smr = np.array([30.0, 0.0, -20.0, -20.0])
-        alloc = allocate_bits(smr, pool_bits=200, samples_per_band=12)
+        alloc = allocate_bits_reference(smr, pool_bits=200, samples_per_band=12)
         assert alloc.bits[0] > alloc.bits[2]
         assert alloc.bits[0] > alloc.bits[3]
 
     def test_pool_respected(self):
         smr = np.full(32, 20.0)
-        alloc = allocate_bits(smr, pool_bits=500, samples_per_band=12)
+        alloc = allocate_bits_reference(smr, pool_bits=500, samples_per_band=12)
         assert alloc.spent_bits <= 500
 
     def test_zero_pool_allocates_nothing(self):
-        alloc = allocate_bits(np.full(8, 10.0), 0, 12)
+        alloc = allocate_bits_reference(np.full(8, 10.0), 0, 12)
         assert np.all(alloc.bits == 0)
 
     def test_masked_bands_skipped_until_transparent(self):
         smr = np.array([40.0, -60.0])
-        alloc = allocate_bits(smr, pool_bits=120, samples_per_band=12)
+        alloc = allocate_bits_reference(smr, pool_bits=120, samples_per_band=12)
         assert alloc.bits[1] == 0
         assert alloc.bits[0] >= 7  # 40/6.02 rounded up toward transparency
 
     def test_max_bits_clamped(self):
         smr = np.array([200.0])
-        alloc = allocate_bits(smr, pool_bits=100_000, samples_per_band=12)
+        alloc = allocate_bits_reference(smr, pool_bits=100_000, samples_per_band=12)
         assert alloc.bits[0] <= 15
 
     def test_flat_allocation_uniform(self):
@@ -68,11 +68,11 @@ class TestBitAllocation:
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
-            allocate_bits(np.zeros((2, 2)), 10, 12)
+            allocate_bits_reference(np.zeros((2, 2)), 10, 12)
         with pytest.raises(ValueError):
-            allocate_bits(np.zeros(4), -1, 12)
+            allocate_bits_reference(np.zeros(4), -1, 12)
         with pytest.raises(ValueError):
-            allocate_bits(np.zeros(4), 10, 0)
+            allocate_bits_reference(np.zeros(4), 10, 0)
 
 
 class TestBandQuantizer:

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.audio.bitalloc import (
-    allocate_bits,
     allocate_bits_batch,
     allocate_bits_reference,
 )
@@ -28,7 +27,7 @@ from repro.audio.filterbank import (
     _synthesize_raw,
     _synthesize_raw_reference,
 )
-from repro.audio.frame import SAMPLES_PER_BAND, pack_frame, unpack_frame
+from repro.audio.frame import SAMPLES_PER_BAND, pack_frame, read_frames
 from repro.audio.psychoacoustic import PsychoacousticModel
 from repro.audio.subbandpipe import (
     batch_scalefactors,
@@ -184,8 +183,8 @@ class TestPsychoacousticBatch:
 
 
 class TestAllocatorEquivalence:
-    """The satellite bugfix pin: the incremental and lockstep allocators
-    must reproduce the O(bands x grants) reference decision for decision."""
+    """The lockstep allocator must reproduce the O(bands x grants)
+    reference decision for decision."""
 
     def test_randomized_smr_pool_sweep(self):
         rng = np.random.default_rng(42)
@@ -202,32 +201,26 @@ class TestAllocatorEquivalence:
             batch = allocate_bits_batch(smr, pool, spb, side, max_bits)
             for f in range(frames):
                 ref = allocate_bits_reference(smr[f], pool, spb, side, max_bits)
-                for got in (
-                    allocate_bits(smr[f], pool, spb, side, max_bits),
-                    batch[f],
-                ):
-                    assert np.array_equal(got.bits, ref.bits)
-                    assert np.array_equal(got.mnr_db, ref.mnr_db)
-                    assert got.spent_bits == ref.spent_bits
+                assert np.array_equal(batch[f].bits, ref.bits)
+                assert np.array_equal(batch[f].mnr_db, ref.mnr_db)
+                assert batch[f].spent_bits == ref.spent_bits
 
     def test_validation_shared(self):
-        for fn in (allocate_bits, allocate_bits_reference):
-            with pytest.raises(ValueError):
-                fn(np.zeros((2, 2)), 10, 12)
-            with pytest.raises(ValueError):
-                fn(np.zeros(4), -1, 12)
-            with pytest.raises(ValueError):
-                fn(np.zeros(4), 10, 0)
+        with pytest.raises(ValueError):
+            allocate_bits_reference(np.zeros((2, 2)), 10, 12)
+        with pytest.raises(ValueError):
+            allocate_bits_reference(np.zeros(4), -1, 12)
+        with pytest.raises(ValueError):
+            allocate_bits_reference(np.zeros(4), 10, 0)
         with pytest.raises(ValueError):
             allocate_bits_batch(np.zeros(4), 10, 12)
 
     def test_nan_smr_rejected_by_every_allocator(self):
-        # Unchecked, a NaN band split the three: [4, 0, 6] from the
-        # reference, [4, 15, 6] incremental, [0, 0, 0] batched.
+        # Unchecked, a NaN band split the allocators: [4, 0, 6] from
+        # the reference, [0, 0, 0] batched.
         smr = np.array([10.0, np.nan, 20.0])
-        for fn in (allocate_bits_reference, allocate_bits):
-            with pytest.raises(ValueError, match="NaN"):
-                fn(smr, 400, 12, 6)
+        with pytest.raises(ValueError, match="NaN"):
+            allocate_bits_reference(smr, 400, 12, 6)
         # The batch form checks every row, not just the first.
         for batch in (smr[None, :], np.vstack([[10.0, 15.0, 20.0], smr])):
             with pytest.raises(ValueError, match="NaN"):
@@ -241,13 +234,10 @@ class TestAllocatorEquivalence:
         smr = np.array([first_smr, -np.inf])
         ref = allocate_bits_reference(smr, 100, 5, 0, 2)
         assert ref.bits.tolist() == [2, 0]
-        for got in (
-            allocate_bits(smr, 100, 5, 0, 2),
-            allocate_bits_batch(smr[None, :], 100, 5, 0, 2)[0],
-        ):
-            assert np.array_equal(got.bits, ref.bits)
-            assert got.mnr_db.tobytes() == ref.mnr_db.tobytes()
-            assert got.spent_bits == ref.spent_bits
+        got = allocate_bits_batch(smr[None, :], 100, 5, 0, 2)[0]
+        assert np.array_equal(got.bits, ref.bits)
+        assert got.mnr_db.tobytes() == ref.mnr_db.tobytes()
+        assert got.spent_bits == ref.spent_bits
 
 
 @settings(max_examples=25, deadline=None)
@@ -258,7 +248,7 @@ class TestAllocatorEquivalence:
 def test_allocator_property(smr_values, pool):
     smr = np.array(smr_values)
     ref = allocate_bits_reference(smr, pool, 12, 6)
-    fast = allocate_bits(smr, pool, 12, 6)
+    (fast,) = allocate_bits_batch(smr[None, :], pool, 12, 6)
     assert np.array_equal(fast.bits, ref.bits)
     assert fast.spent_bits == ref.spent_bits
 
@@ -306,18 +296,34 @@ class TestFramePackingBatch:
         data = writer.getvalue()
 
         ref_reader = BitReader(data)
-        blocks_ref, anc_ref = [], bytearray()
-        for _ in range(frames):
-            blocks_ref.append(unpack_frame(ref_reader, bands))
-            for _ in range(anc):
-                anc_ref.append(ref_reader.read_bits(8))
+        rows = list(read_frames(ref_reader, frames, bands, anc))
         fast_reader = BitReader(data)
         blocks, ancillary = unpack_frames_batch(
             fast_reader, frames, bands, SAMPLES_PER_BAND, anc
         )
-        assert np.array_equal(np.stack(blocks_ref), blocks)
-        assert bytes(anc_ref) == ancillary
+        assert np.array_equal(np.stack([b for b, _ in rows]), blocks)
+        assert b"".join(c for _, c in rows) == ancillary
         assert fast_reader.bit_position == ref_reader.bit_position
+
+    @pytest.mark.parametrize("frames,bands,anc", [(4, 32, 0), (3, 8, 5)])
+    def test_truncated_unpack_raises_like_scalar(self, frames, bands, anc):
+        rng = np.random.default_rng(frames + bands)
+        sub, alloc, payload = self._random_segment(rng, frames, bands, anc)
+        writer = BitWriter()
+        pack_frames_batch(writer, sub, alloc, payload, anc)
+        data = writer.getvalue()
+        for cut in range(0, len(data), max(1, len(data) // 7)):
+            outcomes = []
+            for unpack in (
+                lambda r: list(read_frames(r, frames, bands, anc)),
+                lambda r: unpack_frames_batch(
+                    r, frames, bands, SAMPLES_PER_BAND, anc
+                ),
+            ):
+                with pytest.raises(EOFError) as err:
+                    unpack(BitReader(data[:cut]))
+                outcomes.append(str(err.value))
+            assert outcomes == ["bitstream exhausted"] * 2
 
     def test_scalefactors_match_scalar_choice(self):
         from repro.audio.frame import choose_scalefactor

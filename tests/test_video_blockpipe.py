@@ -17,14 +17,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import repro
-from repro.image.jpeg import JpegLikeCodec
+from repro.image.jpeg import MAGIC as JPEG_MAGIC, JpegLikeCodec
 from repro.video import codec_tables as tables
 from repro.video.bitstream import BitReader, BitWriter
 from repro.video.blockpipe import (
     plane_to_vectors,
     read_plane_vectors,
+    read_plane_vectors_reference,
     vectors_to_plane,
     write_plane_vectors,
+    write_plane_vectors_reference,
 )
 from repro.video.dct import (
     blocked_dct_2d,
@@ -38,7 +40,7 @@ from repro.video.decoder import VideoDecoder
 from repro.video.encoder import EncoderConfig, VideoEncoder
 from repro.video.huffman import HuffmanCodec
 from repro.video.quant import INTRA_BASE, dequantize, quantize, scaled_matrix
-from repro.video.rle import EOB, batch_run_levels, encode_block, encode_blocks
+from repro.video.rle import EOB, RunLevel, batch_run_levels, encode_block
 from repro.runtime.scenarios import REGISTRY
 from repro.video.zigzag import (
     inverse_zigzag,
@@ -133,15 +135,26 @@ class TestZigzagFastPaths:
             inverse_zigzag_blocks(np.zeros((3, 63)), 8)
 
 
+def batch_events(vectors):
+    """:func:`batch_run_levels` per block, in ``encode_block``'s form."""
+    starts, runs, levels = batch_run_levels(vectors)
+    return [
+        [RunLevel(int(r), int(v)) for r, v in zip(runs[a:b], levels[a:b])]
+        + [EOB]
+        for a, b in zip(starts[:-1], starts[1:])
+    ]
+
+
 class TestBatchRunLevels:
     def test_matches_scalar_encode_block(self):
         rng = np.random.default_rng(8)
         vectors = rng.integers(-3, 4, size=(20, 63)).astype(np.int32)
-        assert encode_blocks(vectors) == [encode_block(v) for v in vectors]
+        assert batch_events(vectors) == [encode_block(v) for v in vectors]
 
     def test_all_zero_rows_are_just_eob(self):
         vectors = np.zeros((4, 63), dtype=np.int32)
-        assert encode_blocks(vectors) == [[EOB]] * 4
+        assert batch_events(vectors) == [encode_block(v) for v in vectors]
+        assert batch_events(vectors) == [[EOB]] * 4
 
     def test_event_slices_line_up(self):
         vectors = np.array([[0, 5, 0, -2], [0, 0, 0, 0], [1, 0, 0, 3]])
@@ -160,7 +173,7 @@ class TestBatchRunLevels:
     arrays(np.int32, (6, 20), elements=st.integers(-30, 30)),
 )
 def test_batch_run_levels_property(vectors):
-    assert encode_blocks(vectors) == [encode_block(v) for v in vectors]
+    assert batch_events(vectors) == [encode_block(v) for v in vectors]
 
 
 class TestWriteMany:
@@ -357,6 +370,22 @@ class TestPlaneParseErrors:
         assert vectors[0][0, :7].tolist() == [0, 1, 1, 0, 0, 0, 1]
 
 
+def test_scalar_plane_format_round_trips():
+    """The scalar writer and parser are inverses, DC predictor included."""
+    rng = np.random.default_rng(21)
+    vectors = rng.integers(-40, 41, size=(9, 64)) * (rng.random((9, 64)) < 0.3)
+    writer = BitWriter()
+    last_dc = write_plane_vectors_reference(writer, vectors, 8, 5)
+    reader = BitReader(writer.getvalue())
+    parsed, parsed_dc = read_plane_vectors_reference(
+        reader, 9, 8, 5, tables.default_ac_codec(8),
+        tables.default_dc_codec(8), tables.eob_symbol(8),
+    )
+    assert np.array_equal(parsed, vectors)
+    assert last_dc == parsed_dc == vectors[-1, 0]
+    assert reader.bit_position == len(writer)
+
+
 class TestCodecEquivalence:
     """Batched vs scalar reference, whole-codec bitstream equality."""
 
@@ -398,6 +427,26 @@ class TestCodecEquivalence:
             JpegLikeCodec(batched=True).decode(fast),
             JpegLikeCodec(batched=False).decode(ref),
         )
+
+    def test_jpeg_overrun_raises_the_same_error_on_both_paths(self):
+        # An 8x8 image whose one block carries 66 levels: the 64th
+        # lands past the block.
+        writer = BitWriter()
+        for value, width in ((JPEG_MAGIC, 16), (8, 16), (8, 16), (50, 7)):
+            writer.write_bits(value, width)
+        tables.default_dc_codec(8).encode_symbol(0, writer)
+        for _ in range(66):
+            tables.default_ac_codec(8).encode_symbol(
+                tables.pack_ac(0, 1), writer
+            )
+            tables.encode_magnitude(1, writer)
+        writer.align()
+        for batched in (True, False):
+            with pytest.raises(ValueError) as err:
+                JpegLikeCodec(batched=batched).decode(writer.getvalue())
+            assert str(err.value) == (
+                "corrupt stream: AC coefficients overrun block"
+            )
 
     def test_out_of_alphabet_symbols_fail_loudly_on_both_paths(self):
         # Regression: the batched field tables must reject symbols the
