@@ -326,29 +326,28 @@ class BitReader:
         """
         if count < 0:
             raise ValueError(f"cannot read {count} codes")
-        out = np.empty(count, dtype=np.int64)
-        if count == 0:
-            return out
-        window = self.bit_window()
+        window = memoryview(self.bit_window())
         nbits = len(self._data) * 8
         pos = self._pos
-        for k in range(count):
-            w = int(window[pos]) if pos < nbits else 0
+        out: list[int] = []
+        append = out.append
+        for _ in range(count):
+            w = window[pos] if pos < nbits else 0
             # Leading-zero count of the peek gives the code length 2z+1.
             z = PEEK_WIDTH - w.bit_length()
             total = 2 * z + 1
-            if w == 0 or total > PEEK_WIDTH or pos + total > nbits:
+            if total > PEEK_WIDTH or pos + total > nbits:
                 # >= PEEK_WIDTH leading zeros, a long suffix, or EOF:
                 # replay the scalar parse for exact semantics.
                 self._pos = pos
-                out[k] = self.read_se()
+                append(self.read_se())
                 pos = self._pos
                 continue
             ue = (w >> (PEEK_WIDTH - total)) - 1
-            out[k] = (ue + 1) >> 1 if ue & 1 else -(ue >> 1)
+            append((ue + 1) >> 1 if ue & 1 else -(ue >> 1))
             pos += total
         self._pos = pos
-        return out
+        return np.array(out, dtype=np.int64)
 
     def read_se_many_reference(self, count: int) -> np.ndarray:
         """Scalar one-code-at-a-time loop: the :meth:`read_se_many` oracle."""

@@ -1,23 +1,27 @@
-"""Frame-granularity batched block-transform pipeline (experiment R6).
+"""Batched block-transform pipeline (experiments R6, R11, R13).
 
 Wolf's survey stresses that the Figure-1 transform chain — DCT, quantize,
 zig-zag, run-length — is regular and data-parallel, exactly the shape media
 hardware batches across a whole frame.  This module is the software version
 of that observation: instead of walking 8x8 blocks one at a time through
 Python loops, a plane is tiled into an ``(nblocks, n, n)`` tensor once and
-every stage runs over the block axis in a handful of NumPy passes:
+every stage runs over the block axis in a handful of NumPy passes.  The
+encoder works at frame granularity (each frame predicts from the last
+one's reconstruction); the decoder at segment granularity, since only
+its motion compensation sits inside the prediction loop:
 
 * ``plane_to_vectors`` — tiled DCT (one broadcast matmul pair), batched
   quantization, and index-array zig-zag, plane -> ``(nblocks, n*n)``;
 * ``write_plane_vectors`` — vectorized run-length extraction
   (:func:`repro.video.rle.batch_run_levels`) plus table-driven Huffman/
   magnitude field assembly, flushed through ``BitWriter.write_many``;
-* ``read_plane_vectors`` — the entropy parse of a whole frame's planes:
+* ``read_plane_vectors`` — the entropy parse of many planes, a whole
+  coded segment's for the video decoder (one plane for the JPEG codec):
   a serial walk of one multi-event table probe per 16-bit window, then one
-  NumPy pass for DC prediction, in-block positions and the scatter; shared
-  by the video decoder and (one plane) the JPEG codec;
+  NumPy pass for DC prediction, in-block positions and the scatter;
 * ``vectors_to_plane`` — batched dequantize + inverse zig-zag + inverse DCT
-  back to a plane.
+  back to a plane, or to a segment's frames of one plane type stacked,
+  each under its own quantizer matrix.
 
 Every step is **bit-identical** to the scalar reference implementations the
 codecs keep (``_code_plane_reference`` / ``_decode_plane_reference`` and
@@ -36,6 +40,7 @@ Codecs pick the pipeline per instance with their ``batched=`` argument
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate
 
@@ -47,7 +52,7 @@ from .dct import blocked_dct_2d, blocked_idct_2d, tile_blocks, untile_blocks
 from .huffman import fast_decoder
 from .quant import dequantize, quantize
 from .rle import batch_run_levels, encode_block
-from .zigzag import inverse_zigzag_blocks, zigzag_blocks
+from .zigzag import inverse_zigzag_blocks, zigzag_blocks, zigzag_index
 
 # --------------------------------------------------------------- transforms
 
@@ -72,9 +77,21 @@ def vectors_to_plane(
     block_size: int,
     shape: tuple[int, int],
 ) -> np.ndarray:
-    """Dequantize + inverse-transform zig-zag vectors back into a plane."""
-    levels = inverse_zigzag_blocks(vectors, block_size)
-    coeffs = dequantize(levels.astype(np.float64), matrix)
+    """Dequantize + inverse-transform zig-zag vectors back into a plane.
+
+    ``matrix`` is one ``(n, n)`` quantizer matrix, or a stack of ``k``
+    of them, one per run of ``nblocks / k`` consecutive blocks: a
+    segment's frames stacked into one ``(k * h, w)`` plane, whose
+    row-major block order is frame order.  Levels are dequantized in
+    scan order, before the un-scan — the same products, one float
+    buffer fewer.
+    """
+    n = block_size
+    scan = np.asarray(matrix, dtype=np.float64).reshape(-1, 1, n * n)
+    runs = np.asarray(vectors).reshape(scan.shape[0], -1, n * n)
+    coeffs = inverse_zigzag_blocks(
+        (runs * scan[..., zigzag_index(n)]).reshape(-1, n * n), n
+    )
     return untile_blocks(blocked_idct_2d(coeffs), shape)
 
 
@@ -92,6 +109,9 @@ def levels_to_plane(
 
 
 # ------------------------------------------------------------ entropy stage
+
+#: The error every plane parse raises for a block whose runs pass its end.
+OVERRUN = "corrupt stream: AC coefficients overrun block"
 
 
 def _field_tables(codec, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -237,133 +257,151 @@ def read_plane_vectors(
 ) -> list[np.ndarray]:
     """Parse consecutive planes' entropy streams into zig-zag vectors.
 
-    ``plane_blocks`` lists each plane's block count; plane ``i`` comes
+    ``plane_blocks`` gives each plane's block count; plane ``i`` comes
     back as an ``(plane_blocks[i], n*n)`` array, its DC predictor
-    starting at 0 as the encoder writes it.  The serial part of the parse
-    is one :func:`repro.video.codec_tables.chunk_table` probe per
+    starting at 0 as the encoder writes it.  The counts are drawn one at
+    a time, each with the reader at that plane's first bit, so a
+    generator may read whatever the stream stores between planes — a
+    video frame's header and motion vectors — and one call parses a
+    whole coded segment.
+
+    The serial part of the parse is one
+    :func:`repro.video.codec_tables.chunk_table` probe per
     :meth:`BitReader.bit_window` peek, which resolves the greedy run of
     complete events — Huffman code *plus* magnitude field — the window
-    starts with, and records only the row id.  One NumPy pass over all
-    planes then gathers the rows, turns DC differences into levels (a
-    cumulative sum restarted per plane), finds in-block positions (a
-    segmented cumulative sum of ``run + 1``), checks for overrun, and
-    scatters once; the last row is counted only up to the final
-    end-of-block, so the reader stops where the scalar parse does.
+    starts with, and records only the row id.  A plane ends exactly at
+    its last end-of-block: a row that runs past it keeps only the events
+    up to it, as exact events, and the reader is left there.  One NumPy
+    pass over all planes then gathers the rows, turns DC differences
+    into levels (a cumulative sum restarted per plane), finds in-block
+    positions (a segmented cumulative sum of ``run + 1``), checks for
+    overrun, and scatters once.
 
     A window whose *first* event does not fit it (a code or magnitude past
     the peek, a chunk past the end of the buffer, a corrupt pattern) gets
-    one exact scalar event, and before such an event's error propagates
-    the events collected so far are checked for an overrun, which comes
-    first in the stream.  Results *and* errors are thus bit-identical to
+    one exact scalar event.  When a parse error — or an error drawing the
+    next count — propagates, the events collected so far are first
+    checked for an overrun, which comes first in the stream.  Results
+    *and* errors are thus bit-identical to
     :func:`read_plane_vectors_reference` run once per plane — pinned by
     the oracle pair in ``tests/strategies/registry.py`` and the parity
-    property in ``tests/test_video_blockpipe.py``.
+    property in ``tests/test_video_blockpipe.py``.  The raised
+    ``EOFError`` / ``ValueError`` carries the planes parsed whole before
+    the failing one in its ``planes`` attribute, so a concealing decoder
+    keeps them without parsing again.
     """
-    plane_blocks = list(plane_blocks)
-    bounds = [0, *accumulate(plane_blocks)]
-    total = bounds[-1]
     length = block_size * block_size
-    if total == 0:
-        return [np.zeros((nb, length), dtype=np.int32) for nb in plane_blocks]
     heads, slots = tables.chunk_table(ac_codec, dc_codec, eob)
     window = memoryview(reader.bit_window())
     safe = reader.size_bits - PEEK_WIDTH  # a chunk read here fits the buffer
     bits_mask = tables.CHUNK_BITS_MASK
     ac_state = tables.CHUNK_AC
     eob_shift = tables.CHUNK_EOB_SHIFT
-    start = pos = reader.bit_position
     ids: list[int] = []
     append = ids.append
     exact_id = len(slots)  # the row id that stands for the next of extra
     extra: list[int] = []  # exactly parsed events
-    state = eobs = 0
-    while True:
-        while pos <= safe:
-            key = state | window[pos]
-            head = heads[key]
-            if not head:
-                break
-            append(key)
-            pos += head & bits_mask
-            state = head & ac_state
-            if head >> eob_shift:
-                eobs += head >> eob_shift
+    counts: list[int] = []  # block count of every plane begun
+    pending: list[int] = []
+    total = eobs = state = 0
+    try:
+        for nblocks in plane_blocks:
+            counts.append(nblocks)
+            total += nblocks
+            pos = reader.bit_position
+            while eobs < total:
+                while pos <= safe:
+                    key = state | window[pos]
+                    head = heads[key]
+                    if not head:
+                        break
+                    append(key)
+                    pos += head & bits_mask
+                    state = head & ac_state
+                    if head >> eob_shift:
+                        eobs += head >> eob_shift
+                        if eobs >= total:
+                            break
                 if eobs >= total:
+                    if state or eobs > total:
+                        # The row runs past the plane's last end-of-block:
+                        # keep its events up to it, as exact events.
+                        pos -= head & bits_mask
+                        kept = _row_until(
+                            slots[key], total - eobs + (head >> eob_shift)
+                        )
+                        ids[-1:] = [exact_id] * len(kept)
+                        extra += kept
+                        pos += sum(e & tables.EVENT_BITS_MASK for e in kept)
+                        eobs, state = total, 0
                     break
-        if eobs >= total:
-            break
-        event = _exact_event(
-            reader, pos, state, ac_codec, dc_codec, eob, slots, ids, extra,
-            length,
-        )
-        extra.append(event)
-        append(exact_id)
-        pos = reader.bit_position
-        if event & tables.EVENT_EOB:
-            eobs += 1
-            state = 0
+                pending = []
+                event = _exact_event(
+                    reader, pos, state, ac_codec, dc_codec, eob, pending
+                )
+                extra.append(event)
+                append(exact_id)
+                pos = reader.bit_position
+                if event & tables.EVENT_EOB:
+                    eobs += 1
+                    state = 0
+                else:
+                    state = ac_state
+            reader.seek(pos)
+    except (EOFError, ValueError) as exc:
+        failed = len(counts) - (eobs < total)
+        if eobs < total and state:
+            # Close the open block so its levels are checked too; an AC
+            # event's run is checked before its magnitude, as the scalar
+            # parse does.
+            pending.append(tables.EVENT_EOB | (1 << tables.EVENT_STEP_SHIFT))
         else:
-            state = ac_state
+            pending = []
+        events = _recorded_events(
+            slots, ids + [exact_id] * len(pending), extra + pending
+        )
+        raise _failure(exc, events, counts, failed, length)
+    events = _recorded_events(slots, ids, extra)
+    return _planes(events, counts, length)
 
-    events, dc_at, eob_at, ends = _block_layout(
-        _recorded_events(slots, ids, extra), length, total
-    )
-    reader.seek(start + int((events & tables.EVENT_BITS_MASK).sum()))
-    values = events >> tables.EVENT_VALUE_SHIFT
-    # Flat output index of every event: its block's base plus its
-    # in-block position.  An end-of-block lands one past its block's last
-    # level — a zero slot, or the next block's DC slot (one spare slot
-    # after the last), which the DC store below overwrites.
-    flat = ends + np.repeat(
-        np.arange(0, total * length, length) - ends[dc_at],
-        eob_at - dc_at + 1,
-    )
-    out = np.zeros(total * length + 1, dtype=np.int32)
-    out[flat] = values
-    dc_sums = np.cumsum(values[dc_at])
-    restart = [int(dc_sums[b - 1]) if b else 0 for b in bounds[:-1]]
-    out[:-1:length] = dc_sums - np.repeat(restart, plane_blocks)
-    vectors = out[:-1].reshape(total, length)
-    return [vectors[a:b] for a, b in zip(bounds, bounds[1:])]
+
+def _row_until(row, need: int) -> list[int]:
+    """The events of a chunk row up to its ``need``-th end-of-block."""
+    kept = []
+    for event in row.tolist():
+        kept.append(event)
+        if event & tables.EVENT_EOB:
+            need -= 1
+            if not need:
+                break
+    return kept
 
 
 def _exact_event(
-    reader, pos, state, ac_codec, dc_codec, eob, slots, ids, extra, length
+    reader, pos, state, ac_codec, dc_codec, eob, pending
 ) -> int:
     """One event parsed exactly at ``pos``, packed like a table event.
 
-    If the parse fails, an overrun among the events recorded so far — or
-    in this AC event itself, whose run is checked before its magnitude is
-    read, as the scalar parse does — is raised in place of the failure.
+    An AC event's in-block advance goes to ``pending`` before its
+    magnitude is read, so that a caller seeing the read fail can check
+    the run for an overrun first.
     """
     reader.seek(pos)
-    pending: list[int] = []
-    try:
-        if state:
-            symbol = fast_decoder(ac_codec).decode_symbol(reader)
-            if symbol == eob:
-                return (
-                    (1 << tables.EVENT_STEP_SHIFT)
-                    | tables.EVENT_EOB
-                    | (reader.bit_position - pos)
-                )
-            run, category = tables.unpack_ac(symbol)
-            kind = (run + 1) << tables.EVENT_STEP_SHIFT
-            pending.append(kind)
-        else:
-            category = fast_decoder(dc_codec).decode_symbol(reader)
-            kind = tables.EVENT_DC
-        value = tables.decode_magnitude(category, reader)
-    except (EOFError, ValueError):
-        if state:  # close the open block so its levels are checked too
-            pending.append(tables.EVENT_EOB | (1 << tables.EVENT_STEP_SHIFT))
-        _block_layout(
-            _recorded_events(
-                slots, ids + [len(slots)] * len(pending), extra + pending
-            ),
-            length,
-        )
-        raise
+    if state:
+        symbol = fast_decoder(ac_codec).decode_symbol(reader)
+        if symbol == eob:
+            return (
+                (1 << tables.EVENT_STEP_SHIFT)
+                | tables.EVENT_EOB
+                | (reader.bit_position - pos)
+            )
+        run, category = tables.unpack_ac(symbol)
+        kind = (run + 1) << tables.EVENT_STEP_SHIFT
+        pending.append(kind)
+    else:
+        category = fast_decoder(dc_codec).decode_symbol(reader)
+        kind = tables.EVENT_DC
+    value = tables.decode_magnitude(category, reader)
     return (
         (value << tables.EVENT_VALUE_SHIFT)
         | kind
@@ -382,28 +420,70 @@ def _recorded_events(slots, ids, extra) -> np.ndarray:
         exact = ids >= len(slots)
         rows[exact] = 0
         rows[exact, 0] = extra
-    return rows[rows != 0]
+    rows = rows.ravel()
+    return rows.compress(rows != 0)
 
 
-def _block_layout(events, length, blocks=None):
-    """``(events, dc_at, eob_at, ends)`` of stream-ordered events.
+def _block_layout(events, length):
+    """``(dc_at, eob_at, ends, overrun)`` of stream-ordered events.
 
-    With ``blocks`` given, ``events`` is first cut after that many
-    end-of-blocks.  ``dc_at`` / ``eob_at`` index each block's DC and
-    end-of-block, and ``ends`` is the running sum of in-block advances,
-    so block ``b``'s levels sit at ``ends - ends[dc_at[b]]``.  Raises the
-    scalar parse's overrun error when a closed block's end-of-block lands
-    past the block.
+    ``dc_at`` / ``eob_at`` index each block's DC and end-of-block, and
+    ``ends`` is the running sum of in-block advances, so block ``b``'s
+    levels sit at ``ends - ends[dc_at[b]]``.  ``overrun`` is the first
+    closed block whose end-of-block lands past the block, or ``None``.
     """
-    eob_at = np.flatnonzero(events & tables.EVENT_EOB)
-    if blocks is not None:
-        eob_at = eob_at[:blocks]
-        events = events[:eob_at[-1] + 1]
-    dc_at = np.flatnonzero(events & tables.EVENT_DC)
+    eob_at = np.flatnonzero((events & tables.EVENT_EOB) != 0)
+    dc_at = np.flatnonzero((events & tables.EVENT_DC) != 0)
     ends = np.cumsum((events >> tables.EVENT_STEP_SHIFT) & 0xFF)
-    if np.any(ends[eob_at] - ends[dc_at[:eob_at.size]] > length):
-        raise ValueError("corrupt stream: AC coefficients overrun block")
-    return events, dc_at, eob_at, ends
+    over = np.flatnonzero(ends[eob_at] - ends[dc_at[:eob_at.size]] > length)
+    return dc_at, eob_at, ends, int(over[0]) if over.size else None
+
+
+def _failure(exc, events, counts, failed, length):
+    """The error a parse raises, with the whole planes before it.
+
+    ``exc`` failed plane ``failed``; an overrun in an earlier block comes
+    first in the stream and replaces it.
+    """
+    overrun = _block_layout(events, length)[3]
+    if overrun is not None:
+        failed = bisect_right(list(accumulate(counts)), overrun)
+        exc = ValueError(OVERRUN)
+    exc.planes = _planes(events, counts[:failed], length)
+    return exc
+
+
+def _planes(events, counts, length) -> list[np.ndarray]:
+    """Scatter the first ``sum(counts)`` blocks of ``events`` into planes.
+
+    Raises the scalar parse's overrun error, with the planes before the
+    overrunning block, when one of those blocks overruns.
+    """
+    bounds = [0, *accumulate(counts)]
+    total = bounds[-1]
+    if total == 0:
+        return [np.zeros((nb, length), dtype=np.int32) for nb in counts]
+    dc_at, eob_at, ends, overrun = _block_layout(events, length)
+    if overrun is not None and overrun < total:
+        raise _failure(ValueError(OVERRUN), events, counts, 0, length)
+    dc_at, eob_at = dc_at[:total], eob_at[:total]
+    cut = int(eob_at[-1]) + 1
+    values = events[:cut] >> tables.EVENT_VALUE_SHIFT
+    # Flat output index of every event: its block's base plus its
+    # in-block position.  An end-of-block lands one past its block's last
+    # level — a zero slot, or the next block's DC slot (one spare slot
+    # after the last), which the DC store below overwrites.
+    flat = ends[:cut] + np.repeat(
+        np.arange(0, total * length, length) - ends[dc_at],
+        eob_at - dc_at + 1,
+    )
+    out = np.zeros(total * length + 1, dtype=np.int32)
+    out[flat] = values
+    dc_sums = np.cumsum(values[dc_at])
+    restart = np.concatenate(([0], dc_sums))[bounds[:-1]]
+    out[:-1:length] = dc_sums - np.repeat(restart, counts)
+    vectors = out[:-1].reshape(total, length)
+    return [vectors[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def read_plane_vectors_reference(
@@ -435,9 +515,7 @@ def read_plane_vectors_reference(
             run, cat = tables.unpack_ac(symbol)
             pos += run
             if pos >= length:
-                raise ValueError(
-                    "corrupt stream: AC coefficients overrun block"
-                )
+                raise ValueError(OVERRUN)
             vectors[b, pos] = tables.decode_magnitude(cat, reader)
             pos += 1
     return vectors, prev_dc

@@ -390,10 +390,19 @@ def _halve_motion(
     Chroma block ``(i, j)`` takes luma block ``(2i, 2j)``, clamped to the
     luma grid, and halves its vector with floor division.
     """
-    ly, lx = motion.shape
+    return MotionField(
+        dy=_halve_vectors(motion.dy, chroma_shape, n),
+        dx=_halve_vectors(motion.dx, chroma_shape, n),
+        block_size=n,
+    )
+
+
+def _halve_vectors(
+    vectors: np.ndarray, chroma_shape: tuple[int, int], n: int
+) -> np.ndarray:
+    """:func:`_halve_motion` on the last two axes of a vector array, so
+    the decoder derives every P frame's chroma field in one pass."""
+    ly, lx = vectors.shape[-2:]
     rows = np.minimum(2 * np.arange(chroma_shape[0] // n), ly - 1)
     cols = np.minimum(2 * np.arange(chroma_shape[1] // n), lx - 1)
-    pick = np.ix_(rows, cols)
-    return MotionField(
-        dy=motion.dy[pick] // 2, dx=motion.dx[pick] // 2, block_size=n
-    )
+    return vectors[..., rows[:, None], cols] // 2

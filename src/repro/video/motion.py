@@ -32,6 +32,7 @@ which the task-graph workload models consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -389,29 +390,41 @@ def motion_compensate(reference: np.ndarray, field: MotionField) -> np.ndarray:
     but a robust decoder must not crash on a malformed stream).
 
     One gather for the whole plane (experiment R9): per-block clamped
-    source origins broadcast against an intra-block offset grid give the
-    full ``(by, bx, n, n)`` source index tensor, and a single fancy-index
-    pull replaces the per-block copy loop kept as
-    :func:`motion_compensate_reference`.
+    source origins broadcast against an offset grid cached per geometry
+    give the flat source index of every predicted pixel, already in
+    raster order, and a single ``take`` replaces the per-block copy loop
+    kept as :func:`motion_compensate_reference`.  The clamps are
+    ``np.minimum`` / ``np.maximum``: ``np.clip``'s wrapper costs more
+    than the arithmetic on a plane's few dozen vectors.
     """
     n = field.block_size
     h, w = reference.shape
     by, bx = field.shape
-    offsets = np.arange(n)
-    sy = np.clip(
-        np.arange(by)[:, None] * n + field.dy.astype(np.int64), 0, h - n
-    )
-    sx = np.clip(
-        np.arange(bx)[None, :] * n + field.dx.astype(np.int64), 0, w - n
-    )
-    rows = sy[:, :, None, None] + offsets[None, None, :, None]
-    cols = sx[:, :, None, None] + offsets[None, None, None, :]
-    gathered = reference[rows, cols]  # (by, bx, n, n)
+    rows, cols, offsets = _compensate_grid(w, by, bx, n)
+    sy = np.minimum(np.maximum(rows + field.dy, 0), h - n)
+    sx = np.minimum(np.maximum(cols + field.dx, 0), w - n)
+    origins = np.repeat(sy * w + sx, n, axis=1)  # one per predicted column
+    pixels = reference.take(origins[:, None, :] + offsets)
+    if (by * n, bx * n) == (h, w):
+        return pixels.reshape(h, w)
     out = np.empty_like(reference)
-    out[:by * n, :bx * n] = (
-        gathered.transpose(0, 2, 1, 3).reshape(by * n, bx * n)
-    )
+    out[:by * n, :bx * n] = pixels.reshape(by * n, bx * n)
     return out
+
+
+@lru_cache(maxsize=32)
+def _compensate_grid(
+    width: int, by: int, bx: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block row origins ``(by, 1)``, block column origins ``(bx,)`` and
+    the ``(n, bx * n)`` offsets ``r * width + c`` of a block row's pixels
+    from their blocks' origins."""
+    rows = np.arange(by)[:, None] * n
+    cols = np.arange(bx) * n
+    offsets = np.arange(n)[:, None] * width + np.tile(np.arange(n), bx)
+    for grid in (rows, cols, offsets):
+        grid.flags.writeable = False
+    return rows, cols, offsets
 
 
 def motion_compensate_reference(

@@ -250,10 +250,32 @@ def _video_encode_cases(draw):
     return frames, cfg
 
 
+#: Bits of the video stream header (magic, version, width, height, block
+#: size, frame count, chroma flag).
+_VIDEO_HEADER_BITS = 16 + 4 + 16 + 16 + 8 + 16 + 1
+
+
 @st.composite
 def _video_streams(draw):
+    """A coded clip, intact, truncated, or with one to three bits past
+    its header flipped.
+
+    A flip may land in a frame's type bit, quantizer step, motion
+    vectors or coefficients, so the pair pins which frame a damaged
+    segment first fails in, not only that it fails.
+    """
     frames, cfg = draw(_video_encode_cases())
-    return VideoEncoder(cfg, batched=True).encode(frames).data
+    data = VideoEncoder(cfg, batched=True).encode(frames).data
+    damage = draw(st.sampled_from(("intact", "truncated", "flipped")))
+    if damage == "truncated":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if damage == "flipped":
+        buf = bytearray(data)
+        bits = st.integers(_VIDEO_HEADER_BITS, len(data) * 8 - 1)
+        for bit in draw(st.lists(bits, min_size=1, max_size=3)):
+            buf[bit // 8] ^= 0x80 >> (bit % 8)
+        return bytes(buf)
+    return data
 
 
 @st.composite
@@ -483,12 +505,17 @@ def _video_encode(batched: bool):
 
 
 def _video_decode(batched: bool):
-    def run(data):
-        decoded = VideoDecoder(batched=batched).decode(data)
+    """The strict and the concealing decode: each the frames, types and
+    concealed count, or the ``(exception type, message)`` raised."""
+    def decode(data, conceal):
+        try:
+            decoded = VideoDecoder(batched=batched).decode(data, conceal)
+        except (EOFError, ValueError) as exc:
+            return type(exc), str(exc)
         planes = [(f.y, f.cb, f.cr) for f in decoded.frames]
         return planes, decoded.frame_types, decoded.concealed
 
-    return run
+    return lambda data: [decode(data, conceal) for conceal in (False, True)]
 
 
 def _read_se(batched: bool):

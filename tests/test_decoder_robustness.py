@@ -144,6 +144,40 @@ def _small_video() -> bytes:
     return VideoEncoder().encode(frames).data
 
 
+#: Bit offset of the first frame's type bit, right after the header.
+FIRST_FRAME_AT = 77
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_video_p_frame_first_is_a_parse_error(batched):
+    """A first frame flagged P has nothing to predict from: a clear
+    ``ValueError``, which concealment covers, in both decode paths."""
+    data = _set_field(_small_video(), FIRST_FRAME_AT, 1, 1)
+    with pytest.raises(ValueError) as raised:
+        VideoDecoder(batched=batched).decode(data)
+    assert str(raised.value) == "corrupt stream: P frame before any I frame"
+    decoded = VideoDecoder(batched=batched).decode(data, conceal=True)
+    assert decoded.frame_types == ["C"] * 5
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_video_conceal_keeps_every_frame_before_the_break(batched):
+    """A stream cut inside a later frame: the frames before it decode as
+    from the intact stream, the rest repeat the last of them."""
+    data = _small_video()
+    intact = VideoDecoder(batched=batched).decode(data)
+    decoded = VideoDecoder(batched=batched).decode(
+        data[:len(data) * 3 // 4], conceal=True
+    )
+    good = 5 - decoded.concealed
+    assert 0 < good < 5
+    assert decoded.frame_types == intact.frame_types[:good] + ["C"] * (5 - good)
+    for got, want in zip(decoded.frames, intact.frames[:good]):
+        assert np.array_equal(got.y, want.y)
+        assert np.array_equal(got.cr, want.cr)
+    assert all(f is decoded.frames[good - 1] for f in decoded.frames[good:])
+
+
 @pytest.mark.parametrize("block_size", [0, 4, 16, 255])
 def test_video_unsupported_block_size_rejected_before_tables(
     block_size, monkeypatch

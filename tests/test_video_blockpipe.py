@@ -240,6 +240,25 @@ class TestPlaneRoundtrip:
             )
 
 
+    def test_stacked_frames_take_one_matrix_each(self):
+        """A segment's frames stacked into one tall plane, each under its
+        own matrix, reconstruct as each frame alone does."""
+        matrices = [scaled_matrix(INTRA_BASE, 60), np.full((8, 8), 7.5)]
+        planes = [frame(12) - 128.0, frame(13) - 128.0]
+        vectors = [
+            plane_to_vectors(plane, matrix, 8)[1]
+            for plane, matrix in zip(planes, matrices)
+        ]
+        stacked = vectors_to_plane(
+            np.concatenate(vectors), np.stack(matrices), 8, (96, 64)
+        )
+        alone = [
+            vectors_to_plane(v, matrix, 8, (48, 64))
+            for v, matrix in zip(vectors, matrices)
+        ]
+        assert np.array_equal(stacked, np.concatenate(alone))
+
+
 @lru_cache(maxsize=2)
 def _holey_codecs(n):
     """The default codecs minus a few short codes: canonical codes are
@@ -368,6 +387,100 @@ class TestPlaneParseErrors:
         vectors, position = self._both(block * 4, [1])
         assert position == len(self._writer([0, 0, 3]))
         assert vectors[0][0, :7].tolist() == [0, 1, 1, 0, 0, 0, 1]
+
+
+class TestSegmentParse:
+    """Plane counts drawn one at a time, and errors that keep the planes
+    parsed whole before them."""
+
+    n = 8
+    codecs = (
+        tables.default_ac_codec(8),
+        tables.default_dc_codec(8),
+        tables.eob_symbol(8),
+    )
+
+    def _planes(self, seed, plane_blocks):
+        rng = np.random.default_rng(seed)
+        return [
+            (rng.integers(-9, 10, size=(nb, 64))
+             * (rng.random((nb, 64)) < 0.3)).astype(np.int32)
+            for nb in plane_blocks
+        ]
+
+    def _parse(self, data, plane_blocks):
+        return read_plane_vectors(
+            BitReader(data), plane_blocks, self.n, *self.codecs
+        )
+
+    def test_counts_are_drawn_at_each_plane_start(self):
+        planes = self._planes(1, [3, 2, 4])
+        writer = BitWriter()
+        for marker, vectors in zip((0xA5, 0x5A, 0xC3), planes):
+            writer.write_bits(marker, 8)
+            write_plane_vectors(writer, vectors, self.n, 0)
+        reader = BitReader(writer.getvalue())
+        markers = []
+
+        def counts():
+            for vectors in planes:
+                markers.append(reader.read_bits(8))
+                yield vectors.shape[0]
+
+        back = read_plane_vectors(reader, counts(), self.n, *self.codecs)
+        assert markers == [0xA5, 0x5A, 0xC3]
+        assert all(map(np.array_equal, back, planes))
+        assert reader.bit_position == len(writer)
+
+    def test_a_truncated_plane_keeps_the_planes_before_it(self):
+        planes = self._planes(2, [4, 4, 4])
+        writer = BitWriter()
+        for vectors in planes:
+            write_plane_vectors(writer, vectors, self.n, 0)
+        data = writer.getvalue()
+        with pytest.raises(EOFError) as failure:
+            self._parse(data[:len(data) - 4], [4, 4, 4])
+        assert len(failure.value.planes) == 2
+        assert all(map(np.array_equal, failure.value.planes, planes))
+
+    def test_an_overrun_comes_first_and_cuts_at_its_plane(self):
+        planes = self._planes(3, [2, 1])
+        writer = BitWriter()
+        for vectors in planes:
+            write_plane_vectors(writer, vectors, self.n, 0)
+        ac = tables.default_ac_codec(self.n)
+        tables.default_dc_codec(self.n).encode_symbol(0, writer)
+        for _ in range(66):  # the 64th level overruns the block
+            ac.encode_symbol(tables.pack_ac(0, 1), writer)
+            tables.encode_magnitude(1, writer)
+        with pytest.raises(ValueError, match="overrun") as failure:
+            self._parse(writer.getvalue(), [2, 1, 1, 5])
+        assert len(failure.value.planes) == 2
+        assert all(map(np.array_equal, failure.value.planes, planes))
+
+    def test_an_error_drawing_a_count_is_raised_after_an_overrun(self):
+        ac = tables.default_ac_codec(self.n)
+        writer = BitWriter()
+        tables.default_dc_codec(self.n).encode_symbol(0, writer)
+        ac.encode_symbol(tables.pack_ac(40, 1), writer)
+        tables.encode_magnitude(1, writer)
+        ac.encode_symbol(tables.pack_ac(40, 1), writer)  # past the block
+        tables.encode_magnitude(1, writer)
+        ac.encode_symbol(tables.eob_symbol(self.n), writer)
+
+        def counts(fail_with):
+            yield 1
+            raise fail_with
+
+        with pytest.raises(ValueError, match="overrun") as failure:
+            self._parse(writer.getvalue(), counts(EOFError("header")))
+        assert failure.value.planes == []
+        good = self._planes(4, [1])
+        writer = BitWriter()
+        write_plane_vectors(writer, good[0], self.n, 0)
+        with pytest.raises(EOFError, match="header") as failure:
+            self._parse(writer.getvalue(), counts(EOFError("header")))
+        assert all(map(np.array_equal, failure.value.planes, good))
 
 
 def test_scalar_plane_format_round_trips():
