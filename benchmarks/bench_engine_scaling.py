@@ -42,11 +42,11 @@ class NoopSession(MediaSession):
     """A 30 Hz session whose segments do no work; it times its steps."""
 
     kind = "noop"
+    nominal_segment_frames = 1
 
     def __init__(self, name, segments):
         super().__init__(name, rate_hz=30.0)
         self._n = segments
-        self._i = 0
         self.step_s = 0.0
 
     def step(self, cache=None):
@@ -55,19 +55,13 @@ class NoopSession(MediaSession):
         self.step_s += perf_counter() - start
         return result
 
-    def expected_segment_frames(self):
-        return 1
+    def _input_count(self):
+        return self._n
 
-    def _peek_done(self):
-        return self._i >= self._n
+    def _input(self, k):
+        return k
 
-    def _next_batch(self):
-        if self._peek_done():
-            return None
-        self._i += 1
-        return self._i
-
-    def _process(self, batch):
+    def _process(self, batch, clean):
         return SegmentResult(
             data=b"", frames=1, bits=8, stage_ops={"alu": 1e3}
         )

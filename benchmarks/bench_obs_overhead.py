@@ -46,26 +46,20 @@ class TinySession(MediaSession):
     """Engine-loop stressor: hundreds of segments of near-zero work."""
 
     kind = "tiny"
+    nominal_segment_frames = 1
 
     def __init__(self, name, segments, rate_hz=None):
         super().__init__(name, rate_hz=rate_hz)
         self._n = segments
-        self._i = 0
-
-    def expected_segment_frames(self):
-        return 1
 
     def estimated_stage_ops(self):
         return {"alu": 1e4}
 
-    def _peek_done(self):
-        return self._i >= self._n
+    def _input_count(self):
+        return self._n
 
-    def _next_batch(self):
-        if self._peek_done():
-            return None
-        self._i += 1
-        return self._i
+    def _input(self, k):
+        return k + 1
 
     def _payload(self, batch):
         return str(batch).encode()
@@ -73,7 +67,7 @@ class TinySession(MediaSession):
     def _fingerprint(self):
         return f"tiny({self.name})"
 
-    def _process(self, batch):
+    def _process(self, batch, clean):
         return SegmentResult(
             data=str(batch).encode(),
             frames=1,

@@ -17,7 +17,7 @@ resolve:
   annotation-typed parameter (``writer: BitWriter``).
 
 Node ids are absolute dotted qualnames:
-``repro.video.encoder.VideoEncoder._write_header``.
+``repro.video.encoder.VideoEncoder._write_motion``.
 """
 
 from __future__ import annotations

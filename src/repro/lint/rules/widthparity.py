@@ -43,10 +43,6 @@ from ._transitive import short
 PAIRS: tuple[tuple[str, str, str], ...] = (
     ("repro.audio.rpeltp.RpeLtpEncoder.encode",
      "repro.audio.rpeltp.RpeLtpDecoder.decode", "prefix"),
-    ("repro.video.encoder.VideoEncoder._write_header",
-     "repro.video.decoder.VideoDecoder.decode", "prefix"),
-    ("repro.video.encoder.VideoEncoder._write_header",
-     "repro.runtime.session.coded_segment_geometry", "prefix"),
     ("repro.image.jpeg.JpegLikeCodec.encode",
      "repro.image.jpeg.JpegLikeCodec.decode", "prefix"),
     ("repro.image.wavelet.WaveletCodec.encode",

@@ -21,6 +21,12 @@ Segment granularity is what makes the runtime compose:
   profile that the task-graph/DSE models consume (see
   :func:`~repro.runtime.engine.measured_application`).
 
+:class:`MediaSession` owns the input model — the segment cursor,
+``finished``, the next-input draw and the frame estimate — so a session
+kind supplies only its input and its per-segment work.
+:class:`TranscodeSession` is a :class:`VideoDecodeSession` that
+re-encodes what it decoded: the two share one coded-input path.
+
 The codecs the sessions wrap default to the frame-batched pipelines —
 video through :mod:`repro.video.blockpipe`, audio through
 :mod:`repro.audio.subbandpipe`; ``stage_ops`` profiles are analytic
@@ -39,8 +45,9 @@ import numpy as np
 
 from ..analysis.detectors import BlackFrameDetector, ShotBoundaryDetector
 from ..audio.encoder import AudioDecoder, AudioEncoder, AudioEncoderConfig
+from ..video.bitstream import BitReader
 from ..video.decoder import DecodedVideo, VideoDecoder
-from ..video.encoder import EncoderConfig, VideoEncoder
+from ..video.encoder import EncoderConfig, VideoEncoder, read_stream_header
 from ..video.frames import Frame
 from ..video.metrics import psnr
 from .cache import SegmentCache, segment_key
@@ -140,28 +147,19 @@ def merge_ops(into: dict[str, float], extra: dict[str, float]) -> dict[str, floa
 def coded_segment_geometry(data: bytes) -> tuple[int, int, int] | None:
     """``(width, height, frames)`` from a coded segment's header.
 
-    The Figure-1 bitstream opens magic(16) version(4) width(16)
-    height(16) block(8) frames(16); reading that prefix is what lets a
-    decode/transcode session derive exact arrival times and deadlines for
-    coded inputs (a real decoder learns the same from its container) —
-    and what lets a lossy session conceal a *wholly* lost segment at the
-    right dimensions (it peeks the clean header it never received, the
-    way a real receiver knows the service's format out of band).
-    Returns ``None`` for anything that is not a valid stream.
+    Reading the Figure-1 stream header is what lets a decode/transcode
+    session derive exact arrival times and deadlines for coded inputs (a
+    real decoder learns the same from its container) — and what lets a
+    lossy session conceal a *wholly* lost segment at the right
+    dimensions (it peeks the clean header it never received, the way a
+    real receiver knows the service's format out of band).  Returns
+    ``None`` for anything that is not a valid stream.
     """
-    from ..video.bitstream import BitReader
-    from ..video.encoder import MAGIC, VERSION
-
-    if len(data) < 10:  # 76 header bits
+    try:
+        width, height, _, frames, _ = read_stream_header(BitReader(data))
+    except (EOFError, ValueError):
         return None
-    reader = BitReader(data)
-    if reader.read_bits(16) != MAGIC or reader.read_bits(4) != VERSION:
-        return None
-    width = reader.read_bits(16)
-    height = reader.read_bits(16)
-    reader.read_bits(8)  # block size
-    frames = max(1, reader.read_bits(16))
-    return width, height, frames
+    return width, height, max(1, frames)
 
 
 def coded_segment_frames(data: bytes) -> int | None:
@@ -211,7 +209,19 @@ def frames_payload(frames) -> bytes:
 
 
 class MediaSession:
-    """Base session: segment iteration, caching, and accounting."""
+    """Base session: the input cursor, caching, delivery and accounting.
+
+    The base class walks a session's input one segment at a time.  A
+    session kind says only what its input is and how one segment is
+    processed:
+
+    * :meth:`_input_count` — how many segments the input holds;
+    * :meth:`_input` — the ``k``-th segment's input;
+    * :meth:`_input_frames` — how many frames that input yields, or
+      ``None`` when it cannot tell before the work is done;
+    * :meth:`_fingerprint`, :meth:`_payload` and :meth:`_process` — the
+      configuration and content halves of the cache key, and the work.
+    """
 
     kind = "media"
 
@@ -241,6 +251,8 @@ class MediaSession:
         self.delivery = None
         #: One :class:`repro.net.DeliveredSegment` per transported segment.
         self.delivery_log: list = []
+        #: Index of the next input segment :meth:`step` draws.
+        self._cursor = 0
         # Running totals behind ``frames_done``, ``total_bits`` and
         # ``deadline_misses``: the schedulers read them every step, so
         # they must not re-sum the logs.  ``step()`` and
@@ -251,9 +263,18 @@ class MediaSession:
 
     # -- subclass surface --------------------------------------------------
 
-    def _next_batch(self):
-        """The next unit of input, or ``None`` when the stream is drained."""
+    def _input_count(self) -> int:
+        """How many segments the input holds."""
         raise NotImplementedError
+
+    def _input(self, k: int):
+        """The ``k``-th segment's input (``0 <= k < _input_count()``)."""
+        raise NotImplementedError
+
+    def _input_frames(self, k: int) -> int | None:
+        """Frames the ``k``-th input yields; ``None`` when unknown until
+        it is processed."""
+        return None
 
     def _payload(self, batch) -> bytes:
         """Bytes identifying ``batch`` for the cache key."""
@@ -263,18 +284,27 @@ class MediaSession:
         """Configuration half of the cache key."""
         raise NotImplementedError
 
-    def _process(self, batch) -> SegmentResult:
-        """Do the real work for one segment."""
+    def _process(self, batch, clean) -> SegmentResult:
+        """Do the real work for one segment.
+
+        ``clean`` is the segment's input as the session holds it;
+        ``batch`` is what arrived, which differs only when the input
+        crossed a lossy channel (:attr:`delivery_point` ``"input"``).
+        """
         raise NotImplementedError
+
+    def _assess_delivery(
+        self, delivered, sent: bytes, result: SegmentResult
+    ) -> None:
+        """Fill a damaged delivery record's quality fields (concealed
+        frames, PSNR); ``sent`` is the clean coded bytes that crossed the
+        channel.  Subclasses with decodable streams override."""
 
     # -- driver surface ----------------------------------------------------
 
     @property
     def finished(self) -> bool:
-        return self._peek_done()
-
-    def _peek_done(self) -> bool:
-        raise NotImplementedError
+        return self._cursor >= self._input_count()
 
     def attach_delivery(self, pipe) -> "MediaSession":
         """Route this session's coded segments through a lossy transport.
@@ -294,16 +324,16 @@ class MediaSession:
     def step(self, cache: SegmentCache | None = None) -> SegmentResult | None:
         """Advance by one segment; returns ``None`` once drained."""
         release = self.next_release() if self.delivery is not None else 0.0
-        batch = self._next_batch()
-        if batch is None:
+        index = self._cursor
+        if index >= self._input_count():
             return None
+        clean = self._input(index)
+        self._cursor = index + 1
+        batch = clean
         delivered = None
-        clean = None
         if self.delivery is not None and self.delivery_point == "input":
-            clean = batch
-            delivered = self.delivery.transport(batch, release)
+            delivered = self.delivery.transport(clean, release)
             batch = delivered.data
-            self._expected_input = clean
         result = None
         key = None
         # A damaged input segment is concealed with session-local context
@@ -317,7 +347,7 @@ class MediaSession:
             key = segment_key(self.kind, self._fingerprint(), self._payload(batch))
             result = cache.get(key)
         if result is None:
-            result = self._process(batch)
+            result = self._process(batch, clean)
             self.segments_computed += 1
             if cacheable:
                 cache.put(key, result)
@@ -327,23 +357,15 @@ class MediaSession:
         self.segments.append(result)
         self._frames_done += result.frames
         self._total_bits += result.bits
+        sent = clean
         if self.delivery is not None and self.delivery_point == "output":
-            delivered = self.delivery.transport(result.data, release)
+            sent = result.data
+            delivered = self.delivery.transport(sent, release)
         if delivered is not None:
-            self._assess_delivery(delivered, clean, result)
+            if not delivered.intact:
+                self._assess_delivery(delivered, sent, result)
             self.delivery_log.append(delivered)
-        self._expected_input = None
         return result
-
-    #: Clean coded bytes of the segment currently crossing the channel
-    #: (input-point sessions only) — concealment geometry comes from here.
-    _expected_input: bytes | None = None
-
-    def _assess_delivery(
-        self, delivered, clean: bytes | None, result: SegmentResult
-    ) -> None:
-        """Fill per-segment quality fields (concealed frames, PSNR) on the
-        delivery record.  Subclasses with decodable streams override."""
 
     def delivery_summary(self) -> dict | None:
         """Aggregate transport scorecard, or ``None`` without a pipe."""
@@ -381,16 +403,16 @@ class MediaSession:
 
     def expected_segment_frames(self) -> int:
         """Best estimate of the next segment's frame count (for release and
-        deadline derivation before the segment has actually run)."""
+        deadline derivation before the segment has actually run): the
+        next input's own count, else the last segment's, else nominal."""
+        index = self._cursor
+        if index < self._input_count():
+            frames = self._input_frames(index)
+            if frames is not None:
+                return frames
         if self.segments:
             return max(1, self.segments[-1].frames)
         return self.nominal_segment_frames
-
-    def deadline_for(self, frame_index: int) -> float:
-        """Virtual-time deadline of the ``frame_index``-th output frame."""
-        if not self.rate_hz or self.rate_hz <= 0:
-            return math.inf
-        return frame_index / self.rate_hz
 
     def next_release(self) -> float:
         """When the next segment's input finishes arriving (0 if unrated)."""
@@ -489,26 +511,21 @@ class _FrameFedSession(MediaSession):
             raise ValueError("segment must cover at least one frame")
         self.frames = list(frames)
         self.segment_frames = segment_frames
-        self._cursor = 0
+        self.nominal_segment_frames = segment_frames
 
-    def _peek_done(self) -> bool:
-        return self._cursor >= len(self.frames)
+    def _input_count(self) -> int:
+        return -(-len(self.frames) // self.segment_frames)
 
-    def _next_batch(self):
-        if self._peek_done():
-            return None
-        batch = self.frames[self._cursor:self._cursor + self.segment_frames]
-        self._cursor += len(batch)
-        return batch
+    def _input(self, k: int) -> list:
+        start = k * self.segment_frames
+        return self.frames[start:start + self.segment_frames]
+
+    def _input_frames(self, k: int) -> int:
+        step = self.segment_frames
+        return min(step, len(self.frames) - k * step)
 
     def _payload(self, batch) -> bytes:
         return frames_payload(batch)
-
-    def expected_segment_frames(self) -> int:
-        remaining = len(self.frames) - self._cursor
-        if remaining <= 0:
-            return max(1, self.segment_frames)
-        return min(self.segment_frames, remaining)
 
     def _pixels_per_frame(self) -> float:
         return float(np.asarray(self.frames[0]).size) if self.frames else 0.0
@@ -564,7 +581,7 @@ class VideoEncodeSession(_FrameFedSession):
     def _fingerprint(self) -> str:
         return config_fingerprint(self.config)
 
-    def _process(self, batch) -> SegmentResult:
+    def _process(self, batch, clean) -> SegmentResult:
         encoded = VideoEncoder(self.config).encode(batch)
         ops: dict[str, float] = {}
         me = 0
@@ -580,12 +597,10 @@ class VideoEncodeSession(_FrameFedSession):
         )
 
     def _assess_delivery(
-        self, delivered, clean: bytes | None, result: SegmentResult
+        self, delivered, sent: bytes, result: SegmentResult
     ) -> None:
         """Score what a receiver of the uplink would reconstruct."""
-        if delivered.intact:
-            return
-        score_video_delivery(delivered, result.data)
+        score_video_delivery(delivered, sent)
 
 
 class VideoDecodeSession(MediaSession):
@@ -595,84 +610,80 @@ class VideoDecodeSession(MediaSession):
     channel *before* decode; damaged arrivals are decoded with
     concealment (previous-frame copy, grey for total loss), so the
     session degrades instead of raising — the R8 behaviour the lossy
-    scenarios exercise.
+    scenarios exercise.  :class:`TranscodeSession` shares this whole
+    coded-input path.
     """
 
     kind = "video_decode"
     delivery_point = "input"
 
+    #: Declared ops per coded input bit, by stage: ~25 across the decode
+    #: chain.  Key order is the admission report's summation order.
+    _OPS_PER_CODED_BIT = {
+        "vld": 6.0,
+        "inverse_dct": 10.0,
+        "motion_compensation": 9.0,
+    }
+
     def __init__(self, name: str, coded_segments: list[bytes]) -> None:
         super().__init__(name)
         self.coded_segments = list(coded_segments)
-        self._cursor = 0
 
-    def _peek_done(self) -> bool:
-        return self._cursor >= len(self.coded_segments)
+    def _input_count(self) -> int:
+        return len(self.coded_segments)
 
-    def _next_batch(self):
-        if self._peek_done():
-            return None
-        seg = self.coded_segments[self._cursor]
-        self._cursor += 1
-        return seg
+    def _input(self, k: int) -> bytes:
+        return self.coded_segments[k]
+
+    def _input_frames(self, k: int) -> int | None:
+        return coded_segment_frames(self.coded_segments[k])
 
     def _payload(self, batch) -> bytes:
         return batch
 
-    def expected_segment_frames(self) -> int:
-        if self._cursor < len(self.coded_segments):
-            frames = coded_segment_frames(self.coded_segments[self._cursor])
-            if frames is not None:
-                return frames
-        return super().expected_segment_frames()
-
     def estimated_stage_ops(self) -> dict[str, float] | None:
         if not self.coded_segments:
             return None
-        # ~25 ops per coded bit across the decode chain, roughly.
         mean_bits = 8.0 * sum(
             len(s) for s in self.coded_segments
         ) / len(self.coded_segments)
         return {
-            "vld": 6.0 * mean_bits,
-            "inverse_dct": 10.0 * mean_bits,
-            "motion_compensation": 9.0 * mean_bits,
+            stage: per_bit * mean_bits
+            for stage, per_bit in self._OPS_PER_CODED_BIT.items()
         }
 
     def _fingerprint(self) -> str:
         return "VideoDecoder()"
 
-    def _process(self, batch) -> SegmentResult:
+    def _decode(self, batch: bytes, clean: bytes):
+        """Decode one arrived segment — concealing damage when it crossed
+        a channel — and its summed per-frame stage ops."""
         if self.delivery is None:
             decoded = VideoDecoder().decode(batch)
         else:
-            decoded = decode_with_concealment(batch, self._expected_input)
+            decoded = decode_with_concealment(batch, clean)
         ops: dict[str, float] = {}
         for frame_ops in decoded.stage_ops:
             merge_ops(ops, frame_ops)
+        return decoded, ops
+
+    def _process(self, batch, clean) -> SegmentResult:
+        decoded, ops = self._decode(batch, clean)
         return SegmentResult(
             data=b"",
             frames=len(decoded.frames),
             bits=len(batch) * 8,
             stage_ops=ops,
-            extras={
-                "luma": [f.y for f in decoded.frames],
-                "concealed": decoded.concealed,
-            },
+            extras={"luma": [f.y for f in decoded.frames]},
         )
 
     def _assess_delivery(
-        self, delivered, clean: bytes | None, result: SegmentResult
+        self, delivered, sent: bytes, result: SegmentResult
     ) -> None:
-        delivered.concealed_frames = int(result.extras.get("concealed", 0))
-        if delivered.intact or clean is None:
-            return
-        reference = VideoDecoder().decode(clean)
-        delivered.psnr_db = _capped_psnr(
-            np.stack([f.y for f in reference.frames]),
-            np.stack(result.extras["luma"]),
-            peak=255.0,
-        )
+        # Damaged segments are rare and never cached, so re-deriving the
+        # concealed planes here is cheap, and works for transcode results,
+        # which carry no planes.
+        score_video_delivery(delivered, sent)
 
 
 class AudioEncodeSession(MediaSession):
@@ -696,41 +707,39 @@ class AudioEncodeSession(MediaSession):
         self.segment_samples = (
             segment_audio_frames * self.config.samples_per_frame
         )
-        self._cursor = 0
+        self.nominal_segment_frames = segment_audio_frames
 
-    def _peek_done(self) -> bool:
-        return self._cursor >= self.pcm.size
+    def _input_count(self) -> int:
+        return -(-self.pcm.size // self.segment_samples)
 
-    def _next_batch(self):
-        if self._peek_done():
-            return None
-        batch = self.pcm[self._cursor:self._cursor + self.segment_samples]
-        self._cursor += batch.size
-        return batch
+    def _input(self, k: int) -> np.ndarray:
+        # Sliced on demand: a view kept per segment would be copied on
+        # its own by every deepcopy of the session.
+        start = k * self.segment_samples
+        return self.pcm[start:start + self.segment_samples]
 
-    def _payload(self, batch) -> bytes:
-        return np.ascontiguousarray(batch).tobytes()
-
-    def expected_segment_frames(self) -> int:
-        remaining = self.pcm.size - self._cursor
-        samples = min(self.segment_samples, remaining) if remaining > 0 \
-            else self.segment_samples
+    def _input_frames(self, k: int) -> int:
+        # PCM frames only; the encoder also codes the filterbank flush.
+        samples = min(
+            self.segment_samples, self.pcm.size - k * self.segment_samples
+        )
         return max(1, math.ceil(samples / self.config.samples_per_frame))
 
     def estimated_stage_ops(self) -> dict[str, float] | None:
-        remaining = self.pcm.size - self._cursor
-        samples = min(self.segment_samples, remaining) if remaining > 0 \
-            else self.segment_samples
+        samples = self._input(self._cursor).size or self.segment_samples
         # ~200 ops per sample: polyphase filterbank plus masking model.
         return {
             "filterbank": 120.0 * samples,
             "psychoacoustic": 80.0 * samples,
         }
 
+    def _payload(self, batch) -> bytes:
+        return np.ascontiguousarray(batch).tobytes()
+
     def _fingerprint(self) -> str:
         return config_fingerprint(self.config)
 
-    def _process(self, batch) -> SegmentResult:
+    def _process(self, batch, clean) -> SegmentResult:
         encoded = AudioEncoder(self.config).encode(batch)
         ops: dict[str, float] = {}
         for fs in encoded.frame_stats:
@@ -743,12 +752,10 @@ class AudioEncodeSession(MediaSession):
         )
 
     def _assess_delivery(
-        self, delivered, clean: bytes | None, result: SegmentResult
+        self, delivered, sent: bytes, result: SegmentResult
     ) -> None:
         """Score the received audio: frame repeat/mute, then PCM PSNR."""
-        if delivered.intact:
-            return
-        reference = AudioDecoder().decode(result.data)
+        reference = AudioDecoder().decode(sent)
         try:
             received = AudioDecoder().decode(delivered.data, conceal=True)
             pcm = received.pcm
@@ -766,14 +773,23 @@ class AudioEncodeSession(MediaSession):
         )
 
 
-class TranscodeSession(MediaSession):
+class TranscodeSession(VideoDecodeSession):
     """Decode coded segments and re-encode them at a different operating
     point — the farm workload of the paper's Section 3 transcoding
     discussion (each generation is lossy; see experiment C6 in DESIGN.md).
     """
 
     kind = "transcode"
-    delivery_point = "input"
+
+    #: The decode chain plus a fast-search re-encode of the recovered
+    #: frames: ~60 ops per coded bit.
+    _OPS_PER_CODED_BIT = {
+        **VideoDecodeSession._OPS_PER_CODED_BIT,
+        "motion_estimation": 20.0,
+        "dct": 10.0,
+        "quantize": 2.5,
+        "vlc": 2.5,
+    }
 
     def __init__(
         self,
@@ -781,60 +797,14 @@ class TranscodeSession(MediaSession):
         coded_segments: list[bytes],
         out_config: EncoderConfig | None = None,
     ) -> None:
-        super().__init__(name)
-        self.coded_segments = list(coded_segments)
+        super().__init__(name, coded_segments)
         self.out_config = out_config or EncoderConfig(quality=50)
-        self._cursor = 0
-
-    def _peek_done(self) -> bool:
-        return self._cursor >= len(self.coded_segments)
-
-    def _next_batch(self):
-        if self._peek_done():
-            return None
-        seg = self.coded_segments[self._cursor]
-        self._cursor += 1
-        return seg
-
-    def _payload(self, batch) -> bytes:
-        return batch
-
-    def expected_segment_frames(self) -> int:
-        if self._cursor < len(self.coded_segments):
-            frames = coded_segment_frames(self.coded_segments[self._cursor])
-            if frames is not None:
-                return frames
-        return super().expected_segment_frames()
-
-    def estimated_stage_ops(self) -> dict[str, float] | None:
-        if not self.coded_segments:
-            return None
-        # ~60 ops per coded bit: the full decode chain plus a fast-search
-        # re-encode of the recovered frames.
-        mean_bits = 8.0 * sum(
-            len(s) for s in self.coded_segments
-        ) / len(self.coded_segments)
-        return {
-            "vld": 6.0 * mean_bits,
-            "inverse_dct": 10.0 * mean_bits,
-            "motion_compensation": 9.0 * mean_bits,
-            "motion_estimation": 20.0 * mean_bits,
-            "dct": 10.0 * mean_bits,
-            "quantize": 2.5 * mean_bits,
-            "vlc": 2.5 * mean_bits,
-        }
 
     def _fingerprint(self) -> str:
         return config_fingerprint(self.out_config)
 
-    def _process(self, batch) -> SegmentResult:
-        if self.delivery is None:
-            decoded = VideoDecoder().decode(batch)
-        else:
-            decoded = decode_with_concealment(batch, self._expected_input)
-        ops: dict[str, float] = {}
-        for frame_ops in decoded.stage_ops:
-            merge_ops(ops, frame_ops)
+    def _process(self, batch, clean) -> SegmentResult:
+        decoded, ops = self._decode(batch, clean)
         luma = [f.y for f in decoded.frames]
         encoded = VideoEncoder(self.out_config).encode(luma)
         me = 0
@@ -847,19 +817,7 @@ class TranscodeSession(MediaSession):
             bits=encoded.total_bits,
             stage_ops=ops,
             me_evaluations=me,
-            extras={"concealed": decoded.concealed},
         )
-
-    def _assess_delivery(
-        self, delivered, clean: bytes | None, result: SegmentResult
-    ) -> None:
-        delivered.concealed_frames = int(result.extras.get("concealed", 0))
-        if delivered.intact or clean is None:
-            return
-        # Damaged segments are rare and never cached: re-deriving the
-        # concealed planes here (identical to what _process re-encoded)
-        # beats carting full luma through every retained result.
-        score_video_delivery(delivered, clean)
 
 
 class AnalysisSession(_FrameFedSession):
@@ -891,7 +849,7 @@ class AnalysisSession(_FrameFedSession):
     def _fingerprint(self) -> str:
         return f"analysis(black={self.black.luma_threshold!r})"
 
-    def _process(self, batch) -> SegmentResult:
+    def _process(self, batch, clean) -> SegmentResult:
         verdicts = self.black.detect(batch)
         cuts = self.shots.boundaries(batch)
         px = float(sum(np.asarray(f).size for f in batch))

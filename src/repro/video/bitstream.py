@@ -18,6 +18,11 @@ import numpy as np
 #: resolves a whole field.
 PEEK_WIDTH = 16
 
+#: Longest Exp-Golomb prefix :meth:`BitReader.read_ue` accepts: 62 zeros
+#: code values up to ``2**63 - 2``, the last prefix whose every value
+#: fits int64.
+MAX_UE_ZEROS = 62
+
 
 class BitWriter:
     """Accumulates bits MSB-first and exposes the packed bytes."""
@@ -295,11 +300,15 @@ class BitReader:
         return count
 
     def read_ue(self) -> int:
-        """Read an unsigned Exp-Golomb code."""
+        """Read an unsigned Exp-Golomb code.
+
+        At most :data:`MAX_UE_ZEROS` leading zeros: any longer code's
+        value overflows the int64 arrays the bulk readers return.
+        """
         zeros = 0
         while self.read_bit() == 0:
             zeros += 1
-            if zeros > 64:
+            if zeros > MAX_UE_ZEROS:
                 raise ValueError("malformed Exp-Golomb code")
         value = 1
         for _ in range(zeros):

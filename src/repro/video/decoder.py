@@ -22,10 +22,9 @@ from .blockpipe import (
 from .dct import idct_2d
 from .encoder import (
     BLOCK_SIZE,
-    MAGIC,
-    VERSION,
     _halve_motion,
     _halve_vectors,
+    read_stream_header,
 )
 from .frames import Frame
 from .motion import MotionField, motion_compensate, motion_compensate_reference
@@ -82,17 +81,9 @@ class VideoDecoder:
         (:meth:`repro.runtime.session.VideoDecodeSession`).
         """
         reader = BitReader(data)
-        magic = reader.read_bits(16)
-        if magic != MAGIC:
-            raise ValueError(f"bad stream magic 0x{magic:04x}")
-        version = reader.read_bits(4)
-        if version != VERSION:
-            raise ValueError(f"unsupported stream version {version}")
-        width = reader.read_bits(16)
-        height = reader.read_bits(16)
-        block_size = reader.read_bits(8)
-        num_frames = reader.read_bits(16)
-        code_chroma = bool(reader.read_bits(1))
+        width, height, block_size, num_frames, code_chroma = (
+            read_stream_header(reader)
+        )
         if block_size != BLOCK_SIZE:
             # Checked before any table is built for it: a corrupt size
             # would otherwise cost tables (and time) that grow with it.

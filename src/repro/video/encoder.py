@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitstream import BitWriter
+from .bitstream import BitReader, BitWriter
 from .blockpipe import (
     levels_to_plane,
     plane_to_vectors,
@@ -41,11 +41,55 @@ from .zigzag import inverse_zigzag, zigzag
 MAGIC = 0x5657  # "VW"
 VERSION = 1
 
-#: Header field capacity (16-bit frame count).
+#: Header field capacities (16-bit frame count, width and height).
 MAX_HEADER_FRAMES = 0xFFFF
+MAX_DIMENSION = 0xFFFF
 #: The one block size the codec supports: the intra quantization matrix
 #: ``INTRA_BASE`` (and with it every intra frame) is 8x8.
 BLOCK_SIZE = 8
+
+
+def write_stream_header(
+    writer: BitWriter, width: int, height: int, frames: int, code_chroma: bool
+) -> None:
+    """Validate and serialize the stream header: magic(16) version(4)
+    width(16) height(16) block(8) frames(16) chroma(1)."""
+    if frames > MAX_HEADER_FRAMES:
+        raise ValueError(
+            f"{frames} frames exceed the 16-bit frame-count "
+            f"field (max {MAX_HEADER_FRAMES}); split the sequence"
+        )
+    if width > MAX_DIMENSION or height > MAX_DIMENSION:
+        raise ValueError(
+            f"{width}x{height} frames exceed the 16-bit dimension "
+            f"fields (max {MAX_DIMENSION})"
+        )
+    writer.write_bits(MAGIC, 16)
+    writer.write_bits(VERSION, 4)
+    writer.write_bits(width, 16)
+    writer.write_bits(height, 16)
+    writer.write_bits(BLOCK_SIZE, 8)
+    writer.write_bits(frames, 16)
+    writer.write_bits(1 if code_chroma else 0, 1)
+
+
+def read_stream_header(reader: BitReader) -> tuple[int, int, int, int, bool]:
+    """Parse the header; returns ``(width, height, block_size, frames,
+    code_chroma)``.  Raises ``ValueError`` on a foreign magic or version
+    and ``EOFError`` on a short buffer; the block size is the caller's
+    to check."""
+    magic = reader.read_bits(16)
+    if magic != MAGIC:
+        raise ValueError(f"bad stream magic 0x{magic:04x}")
+    version = reader.read_bits(4)
+    if version != VERSION:
+        raise ValueError(f"unsupported stream version {version}")
+    width = reader.read_bits(16)
+    height = reader.read_bits(16)
+    block_size = reader.read_bits(8)
+    frames = reader.read_bits(16)
+    code_chroma = bool(reader.read_bits(1))
+    return width, height, block_size, frames, code_chroma
 
 
 @dataclass
@@ -167,7 +211,10 @@ class VideoEncoder:
         cfg = self.config
         frames = _as_frames(sequence)
         writer = BitWriter()
-        self._write_header(writer, frames)
+        write_stream_header(
+            writer, frames[0].width, frames[0].height, len(frames),
+            cfg.code_chroma,
+        )
 
         rate = RateController(
             bits_per_frame=(
@@ -202,21 +249,6 @@ class VideoEncoder:
         )
 
     # ------------------------------------------------------------- plumbing
-
-    def _write_header(self, writer: BitWriter, frames: list[Frame]) -> None:
-        cfg = self.config
-        if len(frames) > MAX_HEADER_FRAMES:
-            raise ValueError(
-                f"{len(frames)} frames exceed the 16-bit frame-count "
-                f"field (max {MAX_HEADER_FRAMES}); split the sequence"
-            )
-        writer.write_bits(MAGIC, 16)
-        writer.write_bits(VERSION, 4)
-        writer.write_bits(frames[0].width, 16)
-        writer.write_bits(frames[0].height, 16)
-        writer.write_bits(BLOCK_SIZE, 8)
-        writer.write_bits(len(frames), 16)
-        writer.write_bits(1 if cfg.code_chroma else 0, 1)
 
     def _encode_frame(
         self,

@@ -387,7 +387,9 @@ def motion_compensate(reference: np.ndarray, field: MotionField) -> np.ndarray:
     This is the decoder-side operation the paper describes: the receiver
     holds the reference frame and applies the motion vectors.
     Out-of-bounds vectors clamp to the frame edge (encoder never emits them,
-    but a robust decoder must not crash on a malformed stream).
+    but a robust decoder must not crash on a malformed stream).  The
+    field must tile the reference exactly; anything else raises
+    ``ValueError``.
 
     One gather for the whole plane (experiment R9): per-block clamped
     source origins broadcast against an offset grid cached per geometry
@@ -397,19 +399,29 @@ def motion_compensate(reference: np.ndarray, field: MotionField) -> np.ndarray:
     ``np.minimum`` / ``np.maximum``: ``np.clip``'s wrapper costs more
     than the arithmetic on a plane's few dozen vectors.
     """
-    n = field.block_size
+    n, by, bx = _check_tiling(reference, field)
     h, w = reference.shape
-    by, bx = field.shape
     rows, cols, offsets = _compensate_grid(w, by, bx, n)
     sy = np.minimum(np.maximum(rows + field.dy, 0), h - n)
     sx = np.minimum(np.maximum(cols + field.dx, 0), w - n)
     origins = np.repeat(sy * w + sx, n, axis=1)  # one per predicted column
-    pixels = reference.take(origins[:, None, :] + offsets)
-    if (by * n, bx * n) == (h, w):
-        return pixels.reshape(h, w)
-    out = np.empty_like(reference)
-    out[:by * n, :bx * n] = pixels.reshape(by * n, bx * n)
-    return out
+    return reference.take(origins[:, None, :] + offsets).reshape(h, w)
+
+
+def _check_tiling(
+    reference: np.ndarray, field: MotionField
+) -> tuple[int, int, int]:
+    """``(block_size, blocks_y, blocks_x)`` of a field that tiles
+    ``reference`` exactly; raises ``ValueError`` otherwise (a prediction
+    with untiled pixels would have nothing to put there)."""
+    n = field.block_size
+    by, bx = field.shape
+    if (by * n, bx * n) != reference.shape:
+        raise ValueError(
+            f"motion field of {by}x{bx} {n}-pixel blocks does not tile "
+            f"a {reference.shape[0]}x{reference.shape[1]} plane"
+        )
+    return n, by, bx
 
 
 @lru_cache(maxsize=32)
@@ -435,10 +447,9 @@ def motion_compensate_reference(
     Kept per the ``_reference`` convention — the equivalence harness pins
     the gather formulation above against it.
     """
-    n = field.block_size
+    n, by, bx = _check_tiling(reference, field)
     h, w = reference.shape
     out = np.empty_like(reference)
-    by, bx = field.shape
     for i in range(by):
         for j in range(bx):
             y0, x0 = i * n, j * n

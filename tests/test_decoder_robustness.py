@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.audio import AudioDecoder, AudioEncoder
 from repro.video import VideoDecoder, VideoEncoder, codec_tables
+from repro.video.bitstream import BitReader
 from repro.workloads.video_gen import moving_blocks_sequence
 
 from strategies import domains
@@ -217,6 +218,58 @@ def test_video_oversized_header_fails_within_its_own_bits():
         tracemalloc.stop()
     assert str(batched.value) == str(scalar.value)
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def _long_code(zeros: int) -> str:
+    """An Exp-Golomb code with ``zeros`` leading zeros, as bit characters:
+    the largest value of that length, whose signed form is the most
+    negative."""
+    return "0" * zeros + "1" * (zeros + 1)
+
+
+def _as_bytes(bits: str) -> bytes:
+    bits += "0" * (-len(bits) % 8)
+    return int(bits, 2).to_bytes(len(bits) // 8, "big")
+
+
+@pytest.mark.parametrize("read", [
+    lambda r: r.read_se(),
+    lambda r: r.read_se_many(1)[0],
+    lambda r: r.read_se_many_reference(1)[0],
+], ids=["read_se", "read_se_many", "read_se_many_reference"])
+def test_exp_golomb_prefix_is_capped_where_values_fit_int64(read):
+    """62 leading zeros is the longest code whose value fits int64; a
+    longer one is a clear parse error on every read path, not an
+    ``OverflowError`` that concealment would not catch."""
+    value = read(BitReader(_as_bytes(_long_code(62) + "1")))
+    assert value == -(2**62 - 1)
+    for zeros in (63, 64):
+        with pytest.raises(ValueError, match="malformed Exp-Golomb code"):
+            read(BitReader(_as_bytes(_long_code(zeros) + "1")))
+
+
+def test_video_overlong_vector_code_conceals_its_frame():
+    """A 2-frame 16x16 stream with a 64-zero code spliced in front of
+    frame 1's motion vectors: frame 1 conceals on both decode paths, and
+    a strict decode raises the same error on both."""
+    frames = moving_blocks_sequence(num_frames=2, height=16, width=16, seed=3)
+    encoded = VideoEncoder().encode(frames)
+    bits = "".join(f"{b:08b}" for b in encoded.data)
+    vectors_at = FIRST_FRAME_AT + encoded.frame_stats[0].bits + 13
+    data = _as_bytes(bits[:vectors_at] + _long_code(64) + bits[vectors_at:])
+    errors = set()
+    for batched in (True, False):
+        decoder = VideoDecoder(batched=batched)
+        intact = decoder.decode(encoded.data)
+        decoded = decoder.decode(data, conceal=True)
+        assert decoded.frame_types == ["I", "C"]
+        assert decoded.concealed == 1
+        assert np.array_equal(decoded.frames[0].y, intact.frames[0].y)
+        assert decoded.frames[1] is decoded.frames[0]
+        with pytest.raises(VIDEO_ERRORS) as raised:
+            decoder.decode(data)
+        errors.add((raised.type, str(raised.value)))
+    assert errors == {(ValueError, "malformed Exp-Golomb code")}
 
 
 # ------------------------------------------------------------------ audio

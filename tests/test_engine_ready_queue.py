@@ -59,28 +59,21 @@ class StubSession(MediaSession):
         super().__init__(name, rate_hz=rate_hz)
         self.order = order
         self._n = segments
-        self._i = 0
-        self._frames = frames
+        self.nominal_segment_frames = frames
         self._ops = ops
         self._stall_at = stall_at
 
     def step(self, cache=None):
-        if self._stall_at == self._i:
+        if self._stall_at == self._cursor:
             self._stall_at = None
             return None
         return super().step(cache)
 
-    def expected_segment_frames(self):
-        return self._frames
+    def _input_count(self):
+        return self._n
 
-    def _peek_done(self):
-        return self._i >= self._n
-
-    def _next_batch(self):
-        if self._peek_done():
-            return None
-        self._i += 1
-        return self._i
+    def _input(self, k):
+        return k + 1
 
     def _payload(self, batch):
         return str(batch).encode()
@@ -88,11 +81,11 @@ class StubSession(MediaSession):
     def _fingerprint(self):
         return f"stub({self.name})"
 
-    def _process(self, batch):
+    def _process(self, batch, clean):
         self.order.append(self.name)
         return SegmentResult(
             data=f"{self.name}:{batch};".encode(),
-            frames=self._frames,
+            frames=self.nominal_segment_frames,
             bits=8 * batch,
             stage_ops={"alu": self._ops} if self._ops else {},
         )

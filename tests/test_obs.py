@@ -77,27 +77,20 @@ class StubSession(MediaSession):
     ):
         super().__init__(name, rate_hz=rate_hz)
         self._n = segments
-        self._i = 0
         self._ops = ops
-        self._f = frames_per_segment
+        self.nominal_segment_frames = frames_per_segment
         self._stages = tuple(stages)
         #: Shared fingerprints make identical stubs cache-share.
         self._fp = fingerprint or f"stub({name})"
 
-    def expected_segment_frames(self):
-        return self._f
-
     def estimated_stage_ops(self):
         return {s: self._ops for s in self._stages}
 
-    def _peek_done(self):
-        return self._i >= self._n
+    def _input_count(self):
+        return self._n
 
-    def _next_batch(self):
-        if self._peek_done():
-            return None
-        self._i += 1
-        return self._i
+    def _input(self, k):
+        return k + 1
 
     def _payload(self, batch):
         return str(batch).encode()
@@ -105,10 +98,10 @@ class StubSession(MediaSession):
     def _fingerprint(self):
         return self._fp
 
-    def _process(self, batch):
+    def _process(self, batch, clean):
         return SegmentResult(
             data=f"{self._fp}:{batch};".encode(),
-            frames=self._f,
+            frames=self.nominal_segment_frames,
             bits=8,
             stage_ops={s: self._ops for s in self._stages},
         )

@@ -49,24 +49,17 @@ class StubSession(MediaSession):
     ):
         super().__init__(name, rate_hz=rate_hz)
         self._n = segments
-        self._i = 0
         self._ops = ops
-        self._f = frames_per_segment
-
-    def expected_segment_frames(self):
-        return self._f
+        self.nominal_segment_frames = frames_per_segment
 
     def estimated_stage_ops(self):
         return {"alu": self._ops}
 
-    def _peek_done(self):
-        return self._i >= self._n
+    def _input_count(self):
+        return self._n
 
-    def _next_batch(self):
-        if self._peek_done():
-            return None
-        self._i += 1
-        return self._i
+    def _input(self, k):
+        return k + 1
 
     def _payload(self, batch):
         return str(batch).encode()
@@ -74,10 +67,10 @@ class StubSession(MediaSession):
     def _fingerprint(self):
         return f"stub({self.name})"
 
-    def _process(self, batch):
+    def _process(self, batch, clean):
         return SegmentResult(
             data=f"{self.name}:{batch};".encode(),
-            frames=self._f,
+            frames=self.nominal_segment_frames,
             bits=8,
             stage_ops={"alu": self._ops},
         )
@@ -458,6 +451,42 @@ class TestCodedSegmentFrames:
             sessions, cache=SegmentCache(64), scheduler=EDF()
         ).run()
         assert report.total_deadline_misses == 0
+
+
+#: FOUND: ``AudioEncoder.encode`` also codes the filterbank flush
+#: (``bank.delay`` zeros), so an audio segment yields more frames than
+#: ``ceil(samples / samples_per_frame)`` — 10 for a predicted 8 — and
+#: rated audio sessions derive releases and deadlines from a count that
+#: their arrivals do not use.  Mending it moves the pin's report digests.
+AUDIO_ESTIMATE_FOUND = (
+    "audio frame estimate omits the filterbank flush frames"
+)
+
+
+class TestFrameEstimates:
+    @pytest.mark.parametrize("kind", [
+        "video_encode",
+        "video_decode",
+        "transcode",
+        "analysis",
+        pytest.param("audio_encode", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason=AUDIO_ESTIMATE_FOUND
+        )),
+    ])
+    def test_estimate_matches_the_segment_each_step_returns(self, kind):
+        checked = 0
+        for scenario in REGISTRY:
+            for session in small_sessions(scenario.name):
+                if session.kind != kind:
+                    continue
+                while not session.finished:
+                    expected = session.expected_segment_frames()
+                    result = session.step(None)
+                    assert result.frames == expected, (
+                        scenario.name, session.name, checked
+                    )
+                    checked += 1
+        assert checked > 0
 
 
 class TestMakeScheduler:

@@ -11,6 +11,7 @@ from repro.video.motion import (
     full_search_op_count,
     full_search_reference,
     motion_compensate,
+    motion_compensate_reference,
     sad,
     three_step_search,
 )
@@ -223,6 +224,21 @@ class TestMotionCompensate:
         )
         out = motion_compensate(ref, field)
         assert np.array_equal(out, ref)  # clamps back to the frame
+
+    @pytest.mark.parametrize(
+        "compensate", [motion_compensate, motion_compensate_reference]
+    )
+    @pytest.mark.parametrize("blocks", [(2, 2), (2, 4), (1, 3)])
+    def test_field_that_does_not_tile_the_plane_raises(
+        self, compensate, blocks
+    ):
+        # A 16x24 plane is 2x3 blocks of 8; any other grid would leave
+        # predicted pixels unset or reach past the plane.
+        ref = np.zeros((16, 24))
+        zeros = np.zeros(blocks, dtype=np.int32)
+        field = MotionField(dy=zeros, dx=zeros, block_size=8)
+        with pytest.raises(ValueError, match="does not tile a 16x24 plane"):
+            compensate(ref, field)
 
 
 class TestOpCount:
